@@ -19,22 +19,19 @@ import math
 import sys
 
 from . import varratio
-from .criterion import Criteria, NoSolution, q_interval, rule_of_thumb
+from .criterion import THUMB_RATIO, Criteria, NoSolution, q_interval, rule_of_thumb
 from .distributional import (
     DistributionalNull,
     ExperimentDesign,
     ExperimentSummary,
-    asymptotic_z_bound,
     degrees_of_freedom,
-    dist_p_value,
-    dist_t_crit,
-    dist_z_crit,
+    dist_test_from_t,
     replication_probability,
     t_statistic,
 )
 from .errors import DataFormatError, DomainError, SolverFailure
 from .mc import SimConfig, fpr_vs_n, simulate_fpr, simulate_replication
-from .point import point_p_value, point_z_crit, power_replication_estimate
+from .point import point_test, power_replication_estimate
 
 SCHEMA_VERSION = 1
 
@@ -180,8 +177,8 @@ def _cmd_test(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int
     t1, nu, n = _resolve_stats(args)
     null = DistributionalNull(args.q)
     z1 = t1 / math.sqrt(n)
-    point_zc = point_z_crit(alpha, n, nu)
-    dist_tc = dist_t_crit(alpha, nu, n, null)
+    point = point_test(z1, n, nu, alpha)
+    dist = dist_test_from_t(t1, nu, n, null, alpha)
     result = {
         "alpha": alpha,
         "q": args.q,
@@ -189,15 +186,15 @@ def _cmd_test(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int
         "nu": nu,
         "t": t1,
         "z": z1,
-        "point_p_value": point_p_value(z1, n, nu),
-        "point_z_crit": point_zc,
-        "point_t_crit": point_zc * math.sqrt(n),
-        "point_significant": abs(z1) >= point_zc,
-        "dist_p_value": dist_p_value(t1, nu, n, null),
-        "dist_t_crit": dist_tc,
-        "dist_z_crit": dist_z_crit(alpha, nu, n, null),
-        "dist_significant": abs(t1) >= dist_tc,
-        "asymptotic_z_bound": asymptotic_z_bound(alpha, nu, null),
+        "point_p_value": point.p_value,
+        "point_z_crit": point.z_crit,
+        "point_t_crit": point.t_crit,
+        "point_significant": point.significant,
+        "dist_p_value": dist.p_value,
+        "dist_t_crit": dist.t_crit,
+        "dist_z_crit": dist.t_crit / math.sqrt(n),
+        "dist_significant": dist.significant,
+        "asymptotic_z_bound": dist.asymptotic_bound_z,
     }
     _emit_result("test", result, fmt)
     return 0
@@ -312,19 +309,19 @@ def _cmd_simulate(args: argparse.Namespace, config: dict[str, str], fmt: str) ->
         raise DomainError(f"bad --n value {args.n!r}: {exc}") from exc
     if not n_values:
         raise DomainError("--n lists no sample sizes")
+    if args.mode == "replication" and args.t is None:
+        raise DomainError("replication mode requires --t")
+    if args.mode == "replication" and len(n_values) != 1:
+        raise DomainError("replication mode takes a single --n")
+    cfg = SimConfig(
+        design=design,
+        n=n_values[0],
+        q_true=args.q_true,
+        sigma=args.sigma,
+        trials=trials,
+        seed=seed,
+    )
     if args.mode == "replication":
-        if args.t is None:
-            raise DomainError("replication mode requires --t")
-        if len(n_values) != 1:
-            raise DomainError("replication mode takes a single --n")
-        cfg = SimConfig(
-            design=design,
-            n=n_values[0],
-            q_true=args.q_true,
-            sigma=args.sigma,
-            trials=trials,
-            seed=seed,
-        )
         variant = args.variant.replace("-", "_")
         rep = simulate_replication(args.t, cfg, alpha, variant)
         nu = degrees_of_freedom(design, cfg.n)
@@ -346,40 +343,28 @@ def _cmd_simulate(args: argparse.Namespace, config: dict[str, str], fmt: str) ->
                 "p_r_formula": formula,
             }
         ]
-        columns = list(rows[0])
-        _emit_rows("simulate", columns, rows, fmt)
-        return 0
-
-    q_test = args.q_true if args.q_test is None else args.q_test
-    cfg = SimConfig(
-        design=design,
-        n=n_values[0],
-        q_true=args.q_true,
-        sigma=args.sigma,
-        trials=trials,
-        seed=seed,
-    )
-    if len(n_values) == 1:
-        reports = [(n_values[0], simulate_fpr(cfg, alpha, q_test, args.two_sided))]
     else:
-        reports = fpr_vs_n(cfg, alpha, n_values, q_test, args.two_sided)
-    rows = [
-        {
-            "design": args.design,
-            "n": n,
-            "q_true": cfg.q_true,
-            "q_test": q_test,
-            "alpha": alpha,
-            "two_sided": args.two_sided,
-            "trials": rep.trials,
-            "seed": seed,
-            "rate": rep.rate,
-            "mc_se": rep.mc_se,
-        }
-        for n, rep in reports
-    ]
-    columns = list(rows[0])
-    _emit_rows("simulate", columns, rows, fmt)
+        q_test = args.q_true if args.q_test is None else args.q_test
+        if len(n_values) == 1:
+            reports = [(cfg.n, simulate_fpr(cfg, alpha, q_test, args.two_sided))]
+        else:
+            reports = fpr_vs_n(cfg, alpha, n_values, q_test, args.two_sided)
+        rows = [
+            {
+                "design": args.design,
+                "n": n,
+                "q_true": cfg.q_true,
+                "q_test": q_test,
+                "alpha": alpha,
+                "two_sided": args.two_sided,
+                "trials": rep.trials,
+                "seed": seed,
+                "rate": rep.rate,
+                "mc_se": rep.mc_se,
+            }
+            for n, rep in reports
+        ]
+    _emit_rows("simulate", list(rows[0]), rows, fmt)
     return 0
 
 
@@ -391,7 +376,7 @@ def _cmd_thumb(args: argparse.Namespace, config: dict[str, str], fmt: str) -> in
         "nu": args.nu,
         "t_bound": thumb.t_bound,
         "p_threshold": thumb.p_threshold,
-        "bound_over_quantile": 1.5 * math.sqrt(3.0),
+        "bound_over_quantile": THUMB_RATIO,
     }
     _emit_result("thumb", result, fmt)
     return 0
@@ -401,7 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "csv", "human"], default=None)
     common.add_argument("--config", default=None, help="INI file with a [defaults] section")
-    common.add_argument("--seed", type=int, default=None)
 
     parser = argparse.ArgumentParser(
         prog="distnull",
@@ -452,6 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--q-test", dest="q_test", type=float, default=None)
     p_sim.add_argument("--alpha", type=float, default=None)
     p_sim.add_argument("--trials", type=int, default=None)
+    p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--sigma", type=float, default=1.0)
     p_sim.add_argument(
         "--two-sided",

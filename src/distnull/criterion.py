@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SolverFailure
+from .point import _check_alpha
 from .special import t_cdf, t_quantile
 
 __all__ = [
@@ -60,8 +61,7 @@ class Criteria:
     beta: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 0.5):
-            raise DomainError(f"alpha must lie in (0, 0.5), got {self.alpha}")
+        _check_alpha(self.alpha)
         if not (self.alpha < self.beta < 1.0):
             raise DomainError(
                 f"beta must lie in (alpha, 1), got beta={self.beta} with alpha={self.alpha}"
@@ -173,8 +173,7 @@ def rule_of_thumb(alpha: float, nu: float) -> RuleOfThumb:
     all.  Roughly 0.0005 at nu = 10 and 0.00005 at nu = 40 for
     alpha = 0.05: far stricter than significance alone.
     """
-    if not (0.0 < alpha < 0.5):
-        raise DomainError(f"alpha must lie in (0, 0.5), got {alpha}")
+    _check_alpha(alpha)
     t_bound = t_quantile(1.0 - alpha, nu) * THUMB_RATIO
     return RuleOfThumb(t_bound=t_bound, p_threshold=1.0 - t_cdf(t_bound, nu))
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .distributional import (
     dist_t_crit,
 )
 from .errors import DomainError
+from .point import _check_alpha, _check_n
 
 __all__ = [
     "SimConfig",
@@ -59,8 +60,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
-            raise DomainError(f"n must be an integer >= 2, got {self.n!r}")
+        _check_n(self.n)
         if not (self.q_true >= 0.0 and math.isfinite(self.q_true)):
             raise DomainError(f"q_true must be >= 0 and finite, got {self.q_true}")
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
@@ -78,12 +78,6 @@ class CalibrationReport:
     rate: float
     mc_se: float
     trials: int
-
-
-def _check_alpha(alpha: float) -> float:
-    if not (0.0 < alpha < 0.5):
-        raise DomainError(f"alpha must lie in (0, 0.5), got {alpha}")
-    return float(alpha)
 
 
 def _design_params(cfg: SimConfig) -> tuple[int, float, float, float]:
@@ -110,14 +104,6 @@ def _design_params(cfg: SimConfig) -> tuple[int, float, float, float]:
     return nu, k * s_sigma, s_sigma, k
 
 
-def _chunks(seed: int, trials: int) -> Iterator[tuple[np.random.Generator, int]]:
-    n_chunks = (trials + _CHUNK - 1) // _CHUNK
-    for i in range(n_chunks):
-        size = min(_CHUNK, trials - i * _CHUNK)
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
-        yield np.random.Generator(np.random.Philox(ss)), size
-
-
 def _chi2_over_nu(rng: np.random.Generator, nu: int, size: int) -> np.ndarray:
     if nu <= _SUMSQ_NU_MAX:
         z = rng.standard_normal((size, nu))
@@ -125,10 +111,22 @@ def _chi2_over_nu(rng: np.random.Generator, nu: int, size: int) -> np.ndarray:
     return 2.0 * rng.standard_gamma(0.5 * nu, size) / nu
 
 
-def _report(hits: int, trials: int) -> CalibrationReport:
-    rate = hits / trials
+def _rate(
+    cfg: SimConfig, chunk_hits: Callable[[np.random.Generator, int], int]
+) -> CalibrationReport:
+    """Share of cfg.trials trials counted as hits by ``chunk_hits(rng, size)``.
+
+    Chunk i of the trials draws from its own Philox generator keyed by
+    (cfg.seed, i), so the result does not depend on chunk scheduling.
+    """
+    hits = 0
+    for start in range(0, cfg.trials, _CHUNK):
+        ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(start // _CHUNK,))
+        size = min(_CHUNK, cfg.trials - start)
+        hits += chunk_hits(np.random.Generator(np.random.Philox(ss)), size)
+    rate = hits / cfg.trials
     return CalibrationReport(
-        rate=rate, mc_se=math.sqrt(rate * (1.0 - rate) / trials), trials=trials
+        rate=rate, mc_se=math.sqrt(rate * (1.0 - rate) / cfg.trials), trials=cfg.trials
     )
 
 
@@ -151,14 +149,15 @@ def simulate_fpr(
     tail = 0.5 * alpha if two_sided else alpha
     crit = dist_t_crit(tail, nu, cfg.n, DistributionalNull(q_test))
     mu_sd = se * math.sqrt(cfg.q_true * cfg.n)
-    hits = 0
-    for rng, size in _chunks(cfg.seed, cfg.trials):
+
+    def chunk_hits(rng: np.random.Generator, size: int) -> int:
         mu = mu_sd * rng.standard_normal(size)
         m = mu + se * rng.standard_normal(size)
         s = s_sigma * np.sqrt(_chi2_over_nu(rng, nu, size))
         t = m / (k * s)
-        hits += int(np.count_nonzero(np.abs(t) >= crit))
-    return _report(hits, cfg.trials)
+        return int(np.count_nonzero(np.abs(t) >= crit))
+
+    return _rate(cfg, chunk_hits)
 
 
 def fpr_vs_n(
@@ -219,8 +218,8 @@ def simulate_replication(
     shrinkage = qn / (1.0 + qn)
     post_sd = math.sqrt(shrinkage) * se
     sign = 1.0 if t1 >= 0.0 else -1.0
-    hits = 0
-    for rng, size in _chunks(cfg.seed, cfg.trials):
+
+    def chunk_hits(rng: np.random.Generator, size: int) -> int:
         s1 = s_sigma * np.sqrt(_chi2_over_nu(rng, nu, size))
         m1 = t1 * k * s1
         mu = shrinkage * m1 + post_sd * rng.standard_normal(size)
@@ -230,5 +229,6 @@ def simulate_replication(
         else:
             denom = k * s_sigma * np.sqrt(_chi2_over_nu(rng, nu, size))
         t2 = m2 / denom
-        hits += int(np.count_nonzero(sign * t2 >= crit))
-    return _report(hits, cfg.trials)
+        return int(np.count_nonzero(sign * t2 >= crit))
+
+    return _rate(cfg, chunk_hits)

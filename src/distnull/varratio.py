@@ -278,6 +278,23 @@ def _variance(values: np.ndarray, ddof: int) -> float:
     return float(np.var(values, ddof=ddof))
 
 
+def _cell(
+    measure: str, site: str, values: np.ndarray, between: float, ddof: int
+) -> VarianceRatioCell:
+    within = _variance(values, ddof)
+    if within == 0.0:
+        raise DegenerateSampleError(
+            f"cell ({measure!r}, {site!r}) has zero within-site variance"
+        )
+    return VarianceRatioCell(
+        measure=measure,
+        site=site,
+        within_var=within,
+        between_var=between,
+        q=between / within,
+    )
+
+
 def cell_q(
     dataset: MultiSiteDataset, measure: str, site: str, ddof: int = 1
 ) -> VarianceRatioCell:
@@ -306,19 +323,24 @@ def cell_q(
     """
     _check_ddof(ddof)
     values = dataset.values(measure, site)
-    within = _variance(values, ddof)
-    if within == 0.0:
-        raise DegenerateSampleError(
-            f"cell ({measure!r}, {site!r}) has zero within-site variance"
-        )
     between = _variance(dataset.site_means(measure), ddof)
-    return VarianceRatioCell(
-        measure=measure,
-        site=site,
-        within_var=within,
-        between_var=between,
-        q=between / within,
-    )
+    return _cell(measure, site, values, between, ddof)
+
+
+def _measure_cells(
+    dataset: MultiSiteDataset, measure: str, ddof: int
+) -> list[VarianceRatioCell]:
+    # One between-site variance serves every cell of the measure.  Only
+    # all_cells and summarize call this, directly, so stacklevel=3 points
+    # degenerate-cell warnings at their caller.
+    between = _variance(dataset.site_means(measure), ddof)
+    cells = []
+    for site in dataset.sites(measure):
+        try:
+            cells.append(_cell(measure, site, dataset.values(measure, site), between, ddof))
+        except DegenerateSampleError as exc:
+            warnings.warn(f"skipping degenerate cell: {exc}", stacklevel=3)
+    return cells
 
 
 def all_cells(dataset: MultiSiteDataset, ddof: int = 1) -> list[VarianceRatioCell]:
@@ -326,11 +348,7 @@ def all_cells(dataset: MultiSiteDataset, ddof: int = 1) -> list[VarianceRatioCel
     _check_ddof(ddof)
     out = []
     for measure in dataset.measures:
-        for site in dataset.sites(measure):
-            try:
-                out.append(cell_q(dataset, measure, site, ddof))
-            except DegenerateSampleError as exc:
-                warnings.warn(f"skipping degenerate cell: {exc}", stacklevel=2)
+        out.extend(_measure_cells(dataset, measure, ddof))
     return out
 
 
@@ -353,19 +371,6 @@ def restrict(
         if len(sites) >= 2:
             kept[measure] = sites
     return MultiSiteDataset(kept, dataset.min_cell_n)
-
-
-def _pool_qs(
-    dataset: MultiSiteDataset, measures: Iterable[str], ddof: int
-) -> list[float]:
-    pool = []
-    for measure in measures:
-        for site in dataset.sites(measure):
-            try:
-                pool.append(cell_q(dataset, measure, site, ddof).q)
-            except DegenerateSampleError as exc:
-                warnings.warn(f"skipping degenerate cell: {exc}", stacklevel=3)
-    return pool
 
 
 def _summary_row(group: str, qs: list[float]) -> GroupSummary:
@@ -440,7 +445,10 @@ def summarize(
                 f"group {spec.group!r}: measure {measure!r} not in dataset",
                 stacklevel=2,
             )
-        qs = _pool_qs(dataset, (m for m in spec.measures if m in available), ddof)
+        qs = []
+        for measure in spec.measures:
+            if measure in available:
+                qs.extend(cell.q for cell in _measure_cells(dataset, measure, ddof))
         if not qs:
             warnings.warn(f"group {spec.group!r} is empty; row omitted", stacklevel=2)
             continue

@@ -201,6 +201,8 @@ class TestConfigFile:
 class TestExitCodes:
     def test_missing_required_flag(self, capsys):
         assert main(["test", "--n", "20"]) == 2
+        # --seed is a simulate flag; other subcommands reject it
+        assert main(["test", "--seed", "9", "--n", "20", "--t", "2", "--nu", "19", "--q", "0"]) == 2
         capsys.readouterr()
 
     def test_bad_n(self, capsys):

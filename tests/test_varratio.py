@@ -8,6 +8,7 @@ from distnull.errors import DataFormatError, DegenerateSampleError, DomainError
 from distnull.varratio import (
     IngestReport,
     MeasureGroupSpec,
+    MultiSiteDataset,
     MultiSiteRecord,
     all_cells,
     cell_q,
@@ -439,3 +440,29 @@ class TestWriters:
 def test_ingest_report_defaults():
     report = IngestReport()
     assert report.rows_read == 0 and not report.bad_rows
+
+
+def test_between_variance_is_computed_once_per_measure(monkeypatch):
+    dataset, _ = ingest(hand_records())
+    calls = []
+    site_means = MultiSiteDataset.site_means
+
+    def counted(self, measure):
+        calls.append(measure)
+        return site_means(self, measure)
+
+    monkeypatch.setattr(MultiSiteDataset, "site_means", counted)
+    all_cells(dataset)
+    assert calls == ["m"]
+    calls.clear()
+    summarize(dataset)
+    assert calls == ["m"]
+
+
+def test_degenerate_cell_warnings_name_the_caller():
+    rows = hand_records() + [rec("D", "m", 5.0), rec("D", "m", 5.0)]
+    dataset, _ = ingest(rows)
+    for run in (all_cells, summarize):
+        with pytest.warns(UserWarning, match="degenerate") as record:
+            run(dataset)
+        assert record[0].filename == __file__
