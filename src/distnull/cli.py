@@ -155,6 +155,8 @@ def _resolve_stats(args: argparse.Namespace) -> tuple[float, float, int]:
             raise DomainError("--t requires --nu")
         if args.mean is not None or args.sd is not None:
             raise DomainError("give either --t/--nu or --mean/--sd, not both")
+        if args.mean2 is not None or args.sd2 is not None:
+            raise DomainError("--mean2/--sd2 need --mean/--sd, not --t/--nu")
         return args.t, args.nu, args.n
     if args.design is None or args.mean is None or args.sd is None:
         raise DomainError("need --design, --n, --mean and --sd (or --t with --nu)")
@@ -249,9 +251,7 @@ def _cmd_range(args: argparse.Namespace, config: dict[str, str], fmt: str) -> in
     return 0
 
 
-def _site_predicate(spec: str | None):
-    if spec is None:
-        return None
+def _site_predicate(spec: str):
     allowed = {s.strip() for s in spec.split(",") if s.strip()}
     if not allowed:
         raise DomainError("--sites lists no site identifiers")
@@ -271,8 +271,9 @@ def _cmd_qest(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int
     for measure in report.dropped_measures:
         print(f"warning: measure {measure} dropped: fewer than 2 sites", file=sys.stderr)
     groups = varratio.load_groups(args.groups) if args.groups else None
-    site_filter = _site_predicate(args.sites)
-    rows = varratio.summarize(dataset, groups, site_filter, ddof=args.ddof)
+    if args.sites is not None:
+        dataset = varratio.restrict(dataset, _site_predicate(args.sites))
+    rows = varratio.summarize(dataset, groups, ddof=args.ddof)
     columns = ["group", "datapoints", "mean_q", "q025", "q975"]
     row_dicts = [
         {
@@ -287,10 +288,7 @@ def _cmd_qest(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int
     _emit_rows("qest", columns, row_dicts, fmt)
 
     if args.cells_out or args.hist_out:
-        working = (
-            varratio.restrict(dataset, site_filter) if site_filter else dataset
-        )
-        cells = varratio.all_cells(working, ddof=args.ddof)
+        cells = varratio.all_cells(dataset, ddof=args.ddof)
         if args.cells_out:
             varratio.write_cells_csv(cells, args.cells_out)
         if args.hist_out:

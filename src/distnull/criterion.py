@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SolverFailure
-from .point import _check_alpha
+from .point import _check_alpha, _t_alpha
 from .special import t_cdf, t_quantile
 
 __all__ = [
@@ -107,7 +107,7 @@ class RuleOfThumb(NamedTuple):
 
 def _quantiles(criteria: Criteria, nu: float) -> tuple[float, float]:
     # The whole curve is arithmetic in these two constants.
-    return t_quantile(1.0 - criteria.alpha, nu), t_quantile(criteria.beta, nu)
+    return _t_alpha(criteria.alpha, nu), t_quantile(criteria.beta, nu)
 
 
 def _t_crit_u(a: float, u: float) -> float:
@@ -137,9 +137,7 @@ def t_rep(criteria: Criteria, nu: float, n: int, q: float) -> float:
 
     Diverges as q -> 0 and, through t_crit, as qN -> infinity.
     """
-    _check_q_positive(q)
-    a, b = _quantiles(criteria, nu)
-    return _t_rep_u(a, b, q * n)
+    return r_crit(criteria, nu, n, q).t_rep
 
 
 def r_crit(criteria: Criteria, nu: float, n: int, q: float) -> JointCriterionResult:
@@ -173,8 +171,7 @@ def rule_of_thumb(alpha: float, nu: float) -> RuleOfThumb:
     all.  Roughly 0.0005 at nu = 10 and 0.00005 at nu = 40 for
     alpha = 0.05: far stricter than significance alone.
     """
-    _check_alpha(alpha)
-    t_bound = t_quantile(1.0 - alpha, nu) * THUMB_RATIO
+    t_bound = _t_alpha(alpha, nu) * THUMB_RATIO
     return RuleOfThumb(t_bound=t_bound, p_threshold=1.0 - t_cdf(t_bound, nu))
 
 
@@ -186,7 +183,11 @@ def minimize_r(criteria: Criteria, nu: float, n: int) -> tuple[float, float]:
     with r_min = (3 sqrt(3) / 2) T_nu^{-1}(1 - alpha), which the search
     reproduces rather than special-cases.
     """
-    a, b = _quantiles(criteria, nu)
+    return _minimize_r(*_quantiles(criteria, nu), n)
+
+
+def _minimize_r(a: float, b: float, n: int) -> tuple[float, float]:
+    # Golden section on log(u), u = qN, for quantiles a and b.
     lo, hi = math.log(_U_LO), math.log(_U_HI)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
@@ -206,17 +207,15 @@ def minimize_r(criteria: Criteria, nu: float, n: int) -> tuple[float, float]:
     return u_min / n, _r_u(a, b, u_min)
 
 
-def _bisect_log(
-    f, log_outer: float, log_inner: float, outer_sign: float
-) -> float:
-    # Root of f between an outer point (sign outer_sign) and an inner
-    # point at the curve minimum (f <= 0 there).  Bisection in log-u.
+def _bisect_log(f, log_outer: float, log_inner: float) -> float:
+    # Root of f between an outer point (f >= 0 there) and an inner point
+    # at the curve minimum (f <= 0 there).  Bisection in log-u.
     lo, hi = log_outer, log_inner
     for _ in range(200):
         if abs(hi - lo) <= 1e-12:
             break
         mid = 0.5 * (lo + hi)
-        if f(math.exp(mid)) * outer_sign >= 0.0:
+        if f(math.exp(mid)) >= 0.0:
             lo = mid
         else:
             hi = mid
@@ -242,11 +241,10 @@ def q_interval(
     if not (q_ceiling > 0.0 and math.isfinite(q_ceiling)):
         raise DomainError(f"q_ceiling must be positive and finite, got {q_ceiling}")
     t_abs = abs(t1)
-    q_at_min, r_min = minimize_r(criteria, nu, n)
+    a, b = _quantiles(criteria, nu)
+    q_at_min, r_min = _minimize_r(a, b, n)
     if t_abs < r_min:
         return NoSolution(r_min=r_min, q_at_min=q_at_min)
-
-    a, b = _quantiles(criteria, nu)
 
     def excess(u: float) -> float:
         return _r_u(a, b, u) - t_abs
@@ -261,7 +259,7 @@ def q_interval(
         u_left *= 1e-3
         if u_left < 1e-290:
             raise SolverFailure(f"no left bracket for t1={t1}")
-    u1 = _bisect_log(excess, math.log(u_left), math.log(u_min), 1.0)
+    u1 = _bisect_log(excess, math.log(u_left), math.log(u_min))
     if abs(excess(u1)) > tol:
         raise SolverFailure(f"left root tolerance not met for t1={t1}")
 
@@ -271,7 +269,7 @@ def q_interval(
     if censored:
         q2 = q_ceiling
     else:
-        u2 = _bisect_log(excess, math.log(u_ceiling), math.log(u_min), 1.0)
+        u2 = _bisect_log(excess, math.log(u_ceiling), math.log(u_min))
         if abs(excess(u2)) > tol:
             raise SolverFailure(f"right root tolerance not met for t1={t1}")
         q2 = u2 / n

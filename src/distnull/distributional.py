@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateSampleError, DomainError
-from .point import _check_alpha, _check_n
-from .special import t_cdf, t_quantile
+from .point import _check_n, _t_alpha
+from .special import t_cdf
 
 __all__ = [
     "ExperimentDesign",
@@ -153,9 +153,7 @@ def dist_p_value(t1: float, nu: float, n: int, null: DistributionalNull) -> floa
 
 def dist_t_crit(alpha: float, nu: float, n: int, null: DistributionalNull) -> float:
     """Critical t value under the null: T_nu^{-1}(1 - alpha) sqrt(1 + qN)."""
-    _check_alpha(alpha)
-    _check_n(n)
-    return t_quantile(1.0 - alpha, nu) * math.sqrt(1.0 + null.q * n)
+    return _t_alpha(alpha, nu) * math.sqrt(1.0 + null.q * _check_n(n))
 
 
 def dist_z_crit(alpha: float, nu: float, n: int, null: DistributionalNull) -> float:
@@ -173,8 +171,7 @@ def asymptotic_z_bound(alpha: float, nu: float, null: DistributionalNull) -> flo
     Standardized effects below this bound never reach significance
     against the null, at any sample size.
     """
-    _check_alpha(alpha)
-    return t_quantile(1.0 - alpha, nu) * math.sqrt(null.q)
+    return _t_alpha(alpha, nu) * math.sqrt(null.q)
 
 
 def posterior_update(x_bar_1: float, n: int, null: DistributionalNull) -> PosteriorMean:
@@ -217,7 +214,8 @@ def dist_test_from_t(
     t1: float, nu: float, n: int, null: DistributionalNull, alpha: float = 0.05
 ) -> DistTestReport:
     """Distributional-null report from a precomputed t statistic."""
-    t_crit = dist_t_crit(alpha, nu, n, null)
+    a = _t_alpha(alpha, nu)
+    t_crit = a * math.sqrt(1.0 + null.q * _check_n(n))
     return DistTestReport(
         t_stat=t1,
         nu=float(nu),
@@ -225,7 +223,7 @@ def dist_test_from_t(
         p_value=dist_p_value(t1, nu, n, null),
         t_crit=t_crit,
         significant=abs(t1) >= t_crit,
-        asymptotic_bound_z=asymptotic_z_bound(alpha, nu, null),
+        asymptotic_bound_z=a * math.sqrt(null.q),
     )
 
 

@@ -49,6 +49,12 @@ def _check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
+def _t_alpha(alpha: float, nu: float) -> float:
+    # T_nu^{-1}(1 - alpha): the one-tail quantile every threshold scales.
+    _check_alpha(alpha)
+    return t_quantile(1.0 - alpha, nu)
+
+
 def point_p_value(z: float, n: int, nu: float, two_sided: bool = False) -> float:
     """Upper-tail probability of the absolute statistic, 1 - T_nu(|z| sqrt(N)).
 
@@ -66,9 +72,7 @@ def point_p_value(z: float, n: int, nu: float, two_sided: bool = False) -> float
 
 def point_z_crit(alpha: float, n: int, nu: float) -> float:
     """Smallest |z| that is significant at level alpha: T_nu^{-1}(1-alpha)/sqrt(N)."""
-    _check_alpha(alpha)
-    _check_n(n)
-    return t_quantile(1.0 - alpha, nu) / math.sqrt(n)
+    return _t_alpha(alpha, nu) / math.sqrt(_check_n(n))
 
 
 def point_test(z: float, n: int, nu: float, alpha: float = 0.05) -> PointTestReport:
@@ -107,7 +111,7 @@ def power_replication_estimate(
     if quantile_tail == "lower":
         t_a = t_quantile(alpha, nu)
     elif quantile_tail == "upper":
-        t_a = t_quantile(1.0 - alpha, nu)
+        t_a = _t_alpha(alpha, nu)
     else:
         raise DomainError(f"quantile_tail must be 'lower' or 'upper', got {quantile_tail!r}")
     return 1.0 - normal_cdf((t_a - t1) / math.sqrt(1.0 + t_a * t_a / (2.0 * nu)))

@@ -119,9 +119,6 @@ class MultiSiteDataset:
         sites = self._lookup(measure)
         return np.array([cell.mean() for cell in sites.values()])
 
-    def n_cells(self) -> int:
-        return sum(len(sites) for sites in self._cells.values())
-
     def is_empty(self) -> bool:
         return not self._cells
 

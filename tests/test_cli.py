@@ -223,6 +223,12 @@ class TestExitCodes:
             ["test", "--t", "2", "--nu", "19", "--mean", "1", "--n", "20", "--q", "0"],
         )
         assert code == 2
+        code, _, err = run(
+            capsys,
+            ["test", "--t", "2", "--nu", "19", "--n", "20", "--q", "0.1",
+             "--mean2", "3", "--sd2", "1"],
+        )
+        assert code == 2
 
     def test_mean2_outside_two_sample(self, capsys):
         code, _, err = run(

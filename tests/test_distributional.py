@@ -64,6 +64,11 @@ class TestTStatistic:
             ExperimentSummary(ExperimentDesign.ONE_SAMPLE, 10, math.inf, 1.0)
 
 
+def test_alpha_is_checked_before_n():
+    with pytest.raises(DomainError, match="alpha"):
+        dist_test_from_t(2.0, 19.0, 1, DistributionalNull(0.1), alpha=0.7)
+
+
 def test_null_validation():
     assert DistributionalNull(0.0).q == 0.0
     with pytest.raises(DomainError):
