@@ -11,12 +11,16 @@ which is the same joint law at a fraction of the cost.
 Reproducibility: trials are processed in fixed-size chunks and each
 chunk gets its own counter-based generator derived from (seed, chunk
 index), so a given (config, seed) produces bit-identical results
-regardless of how chunks are scheduled.
+regardless of how chunks are scheduled.  The chunks of one call run on
+one thread per usable CPU (never more threads than chunks), and the hit
+counts are summed as integers, so results do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -44,6 +48,9 @@ _CHUNK = 1 << 14
 # Chi-square via sums of squared normals up to this nu (exact and cheap);
 # larger nu switches to the gamma representation behind the same interface.
 _SUMSQ_NU_MAX = 64
+# Normals for the sum of squares are drawn this many rows at a time, so a
+# chunk holds a (_ROWS, nu) block instead of a (_CHUNK, nu) array.
+_ROWS = 1 << 10
 
 REPLICATION_VARIANTS = ("shared_s", "independent_s")
 
@@ -63,6 +70,10 @@ class SimConfig:
         _check_n(self.n)
         if not (self.q_true >= 0.0 and math.isfinite(self.q_true)):
             raise DomainError(f"q_true must be >= 0 and finite, got {self.q_true}")
+        if not math.isfinite(self.q_true * self.n):
+            raise DomainError(
+                f"q_true * n must be finite, got {self.q_true} * {self.n}"
+            )
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
         if not isinstance(self.trials, int) or self.trials < 1:
@@ -105,10 +116,23 @@ def _design_params(cfg: SimConfig) -> tuple[int, float, float, float]:
 
 
 def _chi2_over_nu(rng: np.random.Generator, nu: int, size: int) -> np.ndarray:
-    if nu <= _SUMSQ_NU_MAX:
-        z = rng.standard_normal((size, nu))
-        return np.square(z).sum(axis=1) / nu
-    return 2.0 * rng.standard_gamma(0.5 * nu, size) / nu
+    if nu > _SUMSQ_NU_MAX:
+        return 2.0 * rng.standard_gamma(0.5 * nu, size) / nu
+    # Consecutive blocks continue one stream and each row is summed alone,
+    # so the values equal one (size, nu) draw bit for bit.
+    sums = np.empty(size)
+    for start in range(0, size, _ROWS):
+        z = rng.standard_normal((min(_ROWS, size - start), nu))
+        np.square(z, out=z)
+        z.sum(axis=1, out=sums[start : start + len(z)])
+    return sums / nu
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _rate(
@@ -118,13 +142,50 @@ def _rate(
 
     Chunk i of the trials draws from its own Philox generator keyed by
     (cfg.seed, i), so the result does not depend on chunk scheduling.
+    The chunks are handed out one at a time to min(chunks, usable CPUs)
+    threads, the caller's included, so a one-chunk call starts no thread.
+    An exception in any chunk, or an interrupt of the caller, stops the
+    handing out and is raised here once every thread has finished.
     """
-    hits = 0
-    for start in range(0, cfg.trials, _CHUNK):
-        ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(start // _CHUNK,))
-        size = min(_CHUNK, cfg.trials - start)
-        hits += chunk_hits(np.random.Generator(np.random.Philox(ss)), size)
-    rate = hits / cfg.trials
+    n_chunks = -(-cfg.trials // _CHUNK)
+    chunks = iter(range(n_chunks))
+    lock = threading.Lock()
+    stop = threading.Event()
+    counts: list[int] = []
+    errors: list[BaseException] = []
+
+    def work() -> None:
+        hits = 0
+        try:
+            while not stop.is_set():
+                with lock:
+                    i = next(chunks, None)
+                if i is None:
+                    break
+                ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,))
+                size = min(_CHUNK, cfg.trials - i * _CHUNK)
+                hits += chunk_hits(np.random.Generator(np.random.Philox(ss)), size)
+        except BaseException as exc:  # re-raised in the caller below
+            errors.append(exc)
+            stop.set()
+        counts.append(hits)
+
+    threads = [
+        threading.Thread(target=work, name=f"distnull-mc-{k}")
+        for k in range(1, min(n_chunks, _usable_cpus()))
+    ]
+    try:
+        for thread in threads:
+            thread.start()
+        work()
+    finally:
+        stop.set()
+        for thread in threads:
+            if thread.is_alive():  # false for one that failed to start
+                thread.join()
+    if errors:
+        raise errors[0]
+    rate = sum(counts) / cfg.trials
     return CalibrationReport(
         rate=rate, mc_se=math.sqrt(rate * (1.0 - rate) / cfg.trials), trials=cfg.trials
     )

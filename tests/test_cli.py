@@ -212,6 +212,12 @@ class TestExitCodes:
         )
         assert code == 2
         assert "error:" in err
+        # finite --q-true whose product with n overflows
+        code, _, err = run(
+            capsys, ["simulate", "--n", "20", "--q-true", "1e307", "--trials", "20000"]
+        )
+        assert code == 2
+        assert "q_true * n" in err
 
     def test_t_without_nu(self, capsys):
         code, _, err = run(capsys, ["test", "--t", "2", "--n", "20", "--q", "0"])

@@ -7,10 +7,12 @@ draws, and compare rates at 3 Monte-Carlo standard errors.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from distnull import mc
 from distnull.distributional import (
     DistributionalNull,
     ExperimentDesign,
@@ -45,6 +47,8 @@ def test_config_validation():
         cfg(q_true=-0.1)
     with pytest.raises(DomainError):
         cfg(sigma=0.0)
+    with pytest.raises(DomainError, match="q_true \\* n"):
+        cfg(q_true=1e307)  # finite q_true, but q*n overflows
     with pytest.raises(DomainError):
         SimConfig(ExperimentDesign.ONE_SAMPLE, 20, 0.05, trials=0)
     with pytest.raises(DomainError):
@@ -142,6 +146,133 @@ def test_replication_argument_validation():
         simulate_replication(2.0, cfg(), 0.05, variant="pooled")
     with pytest.raises(DomainError):
         simulate_replication(2.0, cfg(), 0.6)
+
+
+class TestFrozenStreams:
+    """Rates computed by the one-thread, whole-array sampler, frozen so that
+    any change to a per-seed stream or to chunk scheduling shows."""
+
+    FPR = [
+        # (trials, n, rate): one-sample, q_true 0.05 tested against 0, seed 3;
+        # n = 20 sums squared normals (nu 19), n = 66 uses the gamma path (nu 65)
+        (1, 20, 0.0),
+        (1, 66, 1.0),
+        (16_384, 20, 0.15625),
+        (16_384, 66, 0.34356689453125),
+        (16_385, 20, 0.15624046383887702),
+        (16_385, 66, 0.3435459261519683),
+        (3 * 16_384 + 5, 20, 0.15450495351628457),
+        (3 * 16_384 + 5, 66, 0.3381207152592713),
+    ]
+    REPLICATION = [
+        (20, "shared_s", 0.12487030820872749),
+        (20, "independent_s", 0.13414708574916082),
+        (66, "shared_s", 0.07604516325907842),
+        (66, "independent_s", 0.08361306072627403),
+    ]
+
+    @pytest.fixture(params=[1, 2, 5], ids=lambda k: f"cpus{k}")
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: request.param)
+
+    def test_fpr(self, cpus):
+        for trials, n, rate in self.FPR:
+            config = SimConfig(ExperimentDesign.ONE_SAMPLE, n, 0.05, trials=trials, seed=3)
+            assert simulate_fpr(config, 0.05, 0.0).rate == rate, (trials, n)
+
+    def test_replication(self, cpus):
+        for n, variant, rate in self.REPLICATION:
+            config = SimConfig(ExperimentDesign.ONE_SAMPLE, n, 0.05, trials=16_385, seed=3)
+            assert simulate_replication(2.0, config, 0.05, variant).rate == rate, (n, variant)
+
+    def test_fpr_vs_n(self, cpus):
+        base = SimConfig(ExperimentDesign.TWO_SAMPLE_EQUAL_N, 10, 0.05, trials=16_385, seed=3)
+        rates = [(n, r.rate) for n, r in fpr_vs_n(base, 0.05, [10, 40], 0.0)]
+        assert rates == [(10, 0.10271589868782423), (40, 0.2549893194995423)]
+
+
+class TestChunkMechanics:
+    @pytest.mark.parametrize("nu", [1, 64])
+    @pytest.mark.parametrize("size", [1, 1023, 1024, 1025, 16_384])
+    def test_row_blocked_chi2_equals_one_draw(self, size, nu):
+        blocked = mc._chi2_over_nu(np.random.Generator(np.random.Philox(17)), nu, size)
+        g = np.random.Generator(np.random.Philox(17))
+        whole = np.square(g.standard_normal((size, nu))).sum(axis=1) / nu
+        assert np.array_equal(blocked, whole)
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """Names of the threads _rate starts."""
+        names = []
+
+        class Recording(threading.Thread):
+            def start(self):
+                names.append(self.name)
+                super().start()
+
+        monkeypatch.setattr(mc.threading, "Thread", Recording)
+        return names
+
+    @staticmethod
+    def run_rate(trials, chunk_hits):
+        return mc._rate(SimConfig(ExperimentDesign.ONE_SAMPLE, 20, 0.0, trials=trials), chunk_hits)
+
+    def test_one_chunk_call_starts_no_thread(self, started, monkeypatch):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 8)
+        assert self.run_rate(16_384, lambda rng, size: size).rate == 1.0
+        assert started == []
+
+    @pytest.mark.parametrize(
+        "chunks, cpus, threads", [(3, 8, 3), (5, 2, 2), (5, 1, 1), (4, 4, 4)]
+    )
+    def test_threads_are_bounded_by_chunks_and_cpus(self, started, monkeypatch, chunks, cpus, threads):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+        sizes = []
+        report = self.run_rate(chunks * 16_384 - 1, lambda rng, size: sizes.append(size) or 1)
+        assert len(started) == threads - 1  # the caller's thread is one of them
+        assert sorted(sizes) == [16_383] + [16_384] * (chunks - 1)
+        assert report.rate == chunks / report.trials
+
+    def test_chunk_exception_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 4)
+        error = ValueError("chunk of 5 trials")
+
+        def chunk_hits(rng, size):
+            if size == 5:
+                raise error
+            return 0
+
+        with pytest.raises(ValueError) as excinfo:
+            self.run_rate(3 * 16_384 + 5, chunk_hits)
+        assert excinfo.value is error
+
+    def test_exception_stops_the_handing_out_of_chunks(self, monkeypatch):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 4)
+        calls = []
+
+        def chunk_hits(rng, size):
+            calls.append(size)
+            raise RuntimeError("every chunk fails")
+
+        with pytest.raises(RuntimeError):
+            self.run_rate(100 * 16_384, chunk_hits)
+        assert 1 <= len(calls) <= 4  # each thread stops after its first failure
+
+    def test_interrupt_in_the_caller_reaches_it_after_workers_stop(self, monkeypatch):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 4)
+        caller_has_a_chunk = threading.Event()
+
+        def chunk_hits(rng, size):
+            if threading.current_thread() is threading.main_thread():
+                caller_has_a_chunk.set()
+                raise KeyboardInterrupt
+            # hold the workers until the caller has taken a chunk of its own
+            assert caller_has_a_chunk.wait(timeout=10.0)
+            return 0
+
+        with pytest.raises(KeyboardInterrupt):
+            self.run_rate(100 * 16_384, chunk_hits)
+        assert not [t for t in threading.enumerate() if t.name.startswith("distnull-mc")]
 
 
 class TestAgainstRawObservations:
