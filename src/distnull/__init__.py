@@ -10,147 +10,23 @@ variance-ratio estimation from multi-site data, and a seeded
 Monte-Carlo harness that checks the formulas by simulation.
 """
 
-from .criterion import (
-    Criteria,
-    JointCriterionResult,
-    NoSolution,
-    QInterval,
-    RuleOfThumb,
-    minimize_r,
-    q_interval,
-    r_crit,
-    r_curve,
-    rule_of_thumb,
-    t_rep,
-)
-from .distributional import (
-    DistributionalNull,
-    DistTestReport,
-    ExperimentDesign,
-    ExperimentSummary,
-    PosteriorMean,
-    asymptotic_z_bound,
-    degrees_of_freedom,
-    dist_p_value,
-    dist_t_crit,
-    dist_test,
-    dist_test_from_t,
-    dist_z_crit,
-    posterior_update,
-    replication_probability,
-    t_statistic,
-)
-from .errors import (
-    DataFormatError,
-    DegenerateSampleError,
-    DistnullError,
-    DomainError,
-    SolverFailure,
-)
-from .mc import (
-    CalibrationReport,
-    SimConfig,
-    fpr_vs_n,
-    simulate_fpr,
-    simulate_replication,
-)
-from .point import (
-    PointTestReport,
-    point_p_value,
-    point_test,
-    point_z_crit,
-    power_replication_estimate,
-)
-from .special import normal_cdf, reg_inc_beta, t_cdf, t_quantile
-from .varratio import (
-    GroupSummary,
-    IngestReport,
-    MeasureGroupSpec,
-    MultiSiteDataset,
-    MultiSiteRecord,
-    VarianceRatioCell,
-    all_cells,
-    cell_q,
-    ingest,
-    load_csv,
-    load_groups,
-    restrict,
-    summarize,
-    write_cells_csv,
-    write_histogram_csv,
-    write_summary_csv,
-)
+from . import criterion, distributional, errors, mc, point, special, varratio
+from .criterion import *  # noqa: F403
+from .distributional import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .mc import *  # noqa: F403
+from .point import *  # noqa: F403
+from .special import *  # noqa: F403
+from .varratio import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "DistnullError",
-    "DomainError",
-    "DegenerateSampleError",
-    "DataFormatError",
-    "SolverFailure",
-    # t and normal distribution functions
-    "reg_inc_beta",
-    "t_cdf",
-    "t_quantile",
-    "normal_cdf",
-    # point-form tests
-    "PointTestReport",
-    "point_p_value",
-    "point_z_crit",
-    "point_test",
-    "power_replication_estimate",
-    # distributional tests
-    "ExperimentDesign",
-    "ExperimentSummary",
-    "DistributionalNull",
-    "PosteriorMean",
-    "DistTestReport",
-    "degrees_of_freedom",
-    "t_statistic",
-    "dist_p_value",
-    "dist_t_crit",
-    "dist_z_crit",
-    "asymptotic_z_bound",
-    "posterior_update",
-    "replication_probability",
-    "dist_test",
-    "dist_test_from_t",
-    # joint criterion
-    "Criteria",
-    "JointCriterionResult",
-    "QInterval",
-    "NoSolution",
-    "RuleOfThumb",
-    "t_rep",
-    "r_crit",
-    "r_curve",
-    "rule_of_thumb",
-    "minimize_r",
-    "q_interval",
-    # variance ratios
-    "MultiSiteRecord",
-    "MultiSiteDataset",
-    "IngestReport",
-    "VarianceRatioCell",
-    "MeasureGroupSpec",
-    "GroupSummary",
-    "ingest",
-    "load_csv",
-    "load_groups",
-    "cell_q",
-    "all_cells",
-    "restrict",
-    "summarize",
-    "write_summary_csv",
-    "write_cells_csv",
-    "write_histogram_csv",
-    # simulation
-    "SimConfig",
-    "CalibrationReport",
-    "simulate_fpr",
-    "fpr_vs_n",
-    "simulate_replication",
-]
+# Each public name is listed once, in the __all__ of the module that defines it.
+__all__ = ["__version__"]
+__all__ += errors.__all__
+__all__ += special.__all__
+__all__ += point.__all__
+__all__ += distributional.__all__
+__all__ += criterion.__all__
+__all__ += varratio.__all__
+__all__ += mc.__all__

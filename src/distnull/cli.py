@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 
 from . import varratio
 from .criterion import THUMB_RATIO, Criteria, NoSolution, q_interval, rule_of_thumb
@@ -258,22 +259,34 @@ def _site_predicate(spec: str):
     return lambda site: site in allowed
 
 
+def _warnings_to_stderr(fn, *args, **kwargs):
+    """Call fn, printing the warnings it raises as ``warning:`` lines."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args, **kwargs)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return out
+
+
 def _cmd_qest(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int:
     dataset, report = varratio.load_csv(args.data, min_cell_n=args.min_cell_n)
     for lineno, reason in report.bad_rows:
         print(f"warning: {args.data} line {lineno}: {reason}", file=sys.stderr)
     for measure, site, count in report.dropped_cells:
-        print(
-            f"warning: cell ({measure}, {site}) dropped: {count} observation(s) "
-            f"< {args.min_cell_n}",
-            file=sys.stderr,
-        )
+        # A cell of a dropped measure may be big enough; the measure line covers it.
+        if count < args.min_cell_n:
+            print(
+                f"warning: cell ({measure}, {site}) dropped: {count} observation(s) "
+                f"< {args.min_cell_n}",
+                file=sys.stderr,
+            )
     for measure in report.dropped_measures:
         print(f"warning: measure {measure} dropped: fewer than 2 sites", file=sys.stderr)
     groups = varratio.load_groups(args.groups) if args.groups else None
     if args.sites is not None:
         dataset = varratio.restrict(dataset, _site_predicate(args.sites))
-    rows = varratio.summarize(dataset, groups, ddof=args.ddof)
+    rows = _warnings_to_stderr(varratio.summarize, dataset, groups, ddof=args.ddof)
     columns = ["group", "datapoints", "mean_q", "q025", "q975"]
     row_dicts = [
         {
@@ -288,7 +301,7 @@ def _cmd_qest(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int
     _emit_rows("qest", columns, row_dicts, fmt)
 
     if args.cells_out or args.hist_out:
-        cells = varratio.all_cells(dataset, ddof=args.ddof)
+        cells = _warnings_to_stderr(varratio.all_cells, dataset, ddof=args.ddof)
         if args.cells_out:
             varratio.write_cells_csv(cells, args.cells_out)
         if args.hist_out:
@@ -469,10 +482,7 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config(args.config)
         fmt = _pick_format(args, config)
         return args.func(args, config, fmt)
-    except (DomainError, DataFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DomainError, DataFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverFailure as exc:

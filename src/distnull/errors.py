@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DistnullError",
+    "DomainError",
+    "DegenerateSampleError",
+    "DataFormatError",
+    "SolverFailure",
+]
+
 
 class DistnullError(Exception):
     """Base class for all errors raised by this package."""

@@ -20,6 +20,7 @@ import configparser
 import csv
 import math
 import warnings
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, TextIO
@@ -59,12 +60,16 @@ class MultiSiteRecord:
     value: float
 
     def __post_init__(self) -> None:
-        if not self.site.strip():
-            raise DomainError("site identifier must be non-empty")
-        if not self.measure.strip():
-            raise DomainError("measure identifier must be non-empty")
-        if not math.isfinite(self.value):
-            raise DomainError(f"value must be finite, got {self.value}")
+        _check_row(self.site, self.measure, self.value)
+
+
+def _check_row(site: str, measure: str, value: float) -> None:
+    if not site.strip():
+        raise DomainError("site identifier must be non-empty")
+    if not measure.strip():
+        raise DomainError("measure identifier must be non-empty")
+    if not math.isfinite(value):
+        raise DomainError(f"value must be finite, got {value}")
 
 
 @dataclass
@@ -128,27 +133,21 @@ class MultiSiteDataset:
         return self._cells[measure]
 
 
-def _check_min_cell_n(min_cell_n: int) -> int:
+def _check_min_cell_n(min_cell_n: int) -> None:
     if min_cell_n < 2:
         raise DomainError(f"min_cell_n must be >= 2 (a variance needs it), got {min_cell_n}")
-    return min_cell_n
 
 
-def _check_ddof(ddof: int) -> int:
+def _check_ddof(ddof: int) -> None:
     if ddof not in (0, 1):
         raise DomainError(f"ddof must be 0 or 1, got {ddof!r}")
-    return ddof
 
 
 def _build(
-    records: Iterable[MultiSiteRecord], min_cell_n: int, report: IngestReport
+    cells: dict[str, dict[str, list[float]]], min_cell_n: int, report: IngestReport
 ) -> MultiSiteDataset:
-    raw: dict[str, dict[str, list[float]]] = {}
-    for rec in records:
-        raw.setdefault(rec.measure, {}).setdefault(rec.site, []).append(rec.value)
-
     kept: dict[str, dict[str, np.ndarray]] = {}
-    for measure, sites in raw.items():
+    for measure, sites in cells.items():
         qualifying = {}
         for site, values in sites.items():
             if len(values) >= min_cell_n:
@@ -177,9 +176,11 @@ def ingest(
     """Build a validated dataset from records, with drop diagnostics."""
     _check_min_cell_n(min_cell_n)
     report = IngestReport()
-    records = list(records)
-    report.rows_read = len(records)
-    return _build(records, min_cell_n, report), report
+    cells = defaultdict(lambda: defaultdict(list))
+    for rec in records:
+        report.rows_read += 1
+        cells[rec.measure][rec.site].append(rec.value)
+    return _build(cells, min_cell_n, report), report
 
 
 def load_csv(
@@ -187,24 +188,27 @@ def load_csv(
 ) -> tuple[MultiSiteDataset, IngestReport]:
     """Read a ``site,measure,value`` CSV file into a dataset.
 
-    Lines starting with ``#`` and blank lines are skipped.  Malformed
-    rows (wrong field count, empty identifier, non-numeric value) are
+    Lines starting with ``#`` and blank lines are skipped.  Each line is
+    one row; quoted fields follow CSV rules.  Malformed rows (wrong field
+    count, broken quoting, empty identifier, non-numeric value) are
     recorded in the report with their line numbers and do not abort the
     load; the header row must match exactly.
     """
     _check_min_cell_n(min_cell_n)
     report = IngestReport()
-    records: list[MultiSiteRecord] = []
+    cells = defaultdict(lambda: defaultdict(list))
     seen_header = False
-    with _open_text(source) as fh:
+    with _opened(source, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            fields = next(csv.reader([line]))
             if not seen_header:
-                normalized = tuple(f.strip().lower() for f in fields)
-                if normalized != CSV_HEADER:
+                try:
+                    header = tuple(f.strip().lower() for f in next(csv.reader([line])))
+                except csv.Error:
+                    header = ()
+                if header != CSV_HEADER:
                     raise DataFormatError(
                         f"line {lineno}: expected header {','.join(CSV_HEADER)!r}, "
                         f"got {stripped!r}"
@@ -212,27 +216,32 @@ def load_csv(
                 seen_header = True
                 continue
             report.rows_read += 1
-            if len(fields) != 3:
-                report.bad_rows.append((lineno, f"expected 3 fields, got {len(fields)}"))
-                continue
-            site, measure, raw_value = (f.strip() for f in fields)
             try:
-                record = MultiSiteRecord(site, measure, float(raw_value))
-            except (ValueError, DomainError) as exc:
+                fields = line.split(",")
+                # csv.reader gives the same fields unless a quote or an inner CR is present
+                if '"' in line or "\r" in line.rstrip("\r\n"):
+                    fields = next(csv.reader([line]))
+                if len(fields) != 3:
+                    raise DataFormatError(f"expected 3 fields, got {len(fields)}")
+                site, measure, raw_value = fields
+                site, measure = site.strip(), measure.strip()
+                value = float(raw_value.strip())
+                _check_row(site, measure, value)
+            except (csv.Error, DataFormatError, ValueError) as exc:
                 report.bad_rows.append((lineno, str(exc)))
                 continue
-            records.append(record)
+            cells[measure][site].append(value)
     if not seen_header:
         raise DataFormatError("no header row found")
-    return _build(records, min_cell_n, report), report
+    return _build(cells, min_cell_n, report), report
 
 
 @contextmanager
-def _open_text(source: str | TextIO) -> Iterator[TextIO]:
-    if hasattr(source, "read"):
+def _opened(source: str | TextIO, mode: str) -> Iterator[TextIO]:
+    if hasattr(source, "read" if mode == "r" else "write"):
         yield source
     else:
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, mode, encoding="utf-8", newline="") as fh:
             yield fh
 
 
@@ -474,7 +483,7 @@ def load_groups(source: str | TextIO) -> list[MeasureGroupSpec]:
     """
     parser = configparser.ConfigParser()
     try:
-        with _open_text(source) as fh:
+        with _opened(source, "r") as fh:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise DataFormatError(f"bad group config: {exc}") from exc
@@ -504,18 +513,9 @@ def load_groups(source: str | TextIO) -> list[MeasureGroupSpec]:
     return groups
 
 
-@contextmanager
-def _open_out(dest: str | TextIO) -> Iterator[TextIO]:
-    if hasattr(dest, "write"):
-        yield dest
-    else:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-
-
 def write_summary_csv(rows: list[GroupSummary], dest: str | TextIO) -> None:
     """Summary rows as CSV: group,datapoints,mean_q,q025,q975."""
-    with _open_out(dest) as fh:
+    with _opened(dest, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(["group", "datapoints", "mean_q", "q025", "q975"])
         for row in rows:
@@ -526,7 +526,7 @@ def write_summary_csv(rows: list[GroupSummary], dest: str | TextIO) -> None:
 
 def write_cells_csv(cells: list[VarianceRatioCell], dest: str | TextIO) -> None:
     """Per-cell ratios as CSV: measure,site,within_var,between_var,q."""
-    with _open_out(dest) as fh:
+    with _opened(dest, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(["measure", "site", "within_var", "between_var", "q"])
         for cell in cells:
@@ -548,7 +548,7 @@ def write_histogram_csv(
     if not (bin_width > 0.0 and math.isfinite(bin_width)):
         raise DomainError(f"bin_width must be positive, got {bin_width}")
     values = np.asarray(list(q_values), dtype=float)
-    with _open_out(dest) as fh:
+    with _opened(dest, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_lo", "bin_hi", "count"])
         if values.size == 0:

@@ -248,6 +248,22 @@ class TestExitCodes:
         assert main(["thumb", "--nu", "10", "--format", "xml"]) == 2
         capsys.readouterr()
 
+    def test_non_utf8_input(self, capsys, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"site,measure,value\n\xff,m,1\n")
+        good = tmp_path / "good.csv"
+        good.write_text(DATA_CSV, encoding="utf-8")
+        ini = tmp_path / "latin1.ini"
+        ini.write_bytes(b"[defaults]\nalpha = 0.05\n[g]\nmeasures = caf\xe9\n")
+        for argv in (
+            ["qest", "--data", str(data)],
+            ["qest", "--data", str(good), "--groups", str(ini)],
+            ["thumb", "--nu", "10", "--config", str(ini)],
+        ):
+            code, _, err = run(capsys, argv)
+            assert code == 2
+            assert err.startswith("error:")
+
     def test_beta_at_or_below_alpha(self, capsys):
         code, _, err = run(
             capsys, ["range", "--t", "5", "--nu", "19", "--n", "20", "--beta", "0.02"]
@@ -338,6 +354,22 @@ class TestQest:
         assert "solo" in err
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["group"] for r in rows] == ["m"]
+
+    def test_dropped_measure_and_library_warnings(self, capsys, tmp_path, groups_path):
+        path = tmp_path / "solo.csv"
+        path.write_text(
+            DATA_CSV + "lab3,anchoring,7\nlab3,anchoring,7\nonly,solo,1\nonly,solo,2\n",
+            encoding="utf-8",
+        )
+        argv = ["qest", "--data", str(path), "--groups", groups_path, "--cells-out",
+                str(tmp_path / "cells.csv"), "--format", "csv"]
+        code, _, err = run(capsys, argv)
+        assert code == 0
+        assert "measure solo dropped" in err
+        # the solo cell has 2 observations; only its measure was dropped
+        assert "< 2" not in err
+        assert "warning: skipping degenerate cell: cell ('anchoring', 'lab3')" in err
+        assert "UserWarning" not in err and ".py:" not in err
 
     def test_missing_data_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["qest", "--data", str(tmp_path / "nope.csv")])

@@ -1,8 +1,10 @@
+import csv
 import io
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from distnull.errors import DataFormatError, DegenerateSampleError, DomainError
 from distnull.varratio import (
@@ -153,12 +155,41 @@ class TestLoadCsv:
             load_csv(io.StringIO("lab,measure,value\nA,m,1\nB,m,2\n"))
         with pytest.raises(DataFormatError):
             load_csv(io.StringIO(""))
+        with pytest.raises(DataFormatError):
+            load_csv(io.StringIO("site,measure\r,value\nA,m,1\n"))
 
     def test_header_case_and_spacing_are_forgiven(self):
         text = "Site , MEASURE , Value\nA,m,1\nA,m,2\nB,m,3\nB,m,5\n"
         dataset, report = load_csv(io.StringIO(text))
         assert dataset.sites("m") == ("A", "B")
         assert not report.bad_rows
+
+    # Three comma-joined fields of random tokens: the tokens' own commas and
+    # quotes vary the field count, and most lines still come close to a valid row.
+    _TOKENS = st.sampled_from(["a", ",", '"', "\r", " ", "1", "2.5", "#", "\x00", "nan"])
+    _FIELD = st.lists(_TOKENS, min_size=1, max_size=3).map("".join)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.lists(_FIELD, min_size=3, max_size=3).map(",".join), max_size=8))
+    @example(["c,m\rx,1"])
+    def test_rows_match_a_per_line_csv_reader(self, lines):
+        text = "site,measure,value\n" + "\n".join(lines) + "\nA,m,1\nA,m,2\nB,m,3\nB,m,5\n"
+        rows_read, bad = 0, []
+        for lineno, line in enumerate(io.StringIO(text), start=1):
+            if lineno == 1 or not line.strip() or line.strip().startswith("#"):
+                continue
+            rows_read += 1
+            try:
+                fields = [f.strip() for f in next(csv.reader([line]))]
+                ok = len(fields) == 3 and fields[0] and fields[1]
+                ok = ok and math.isfinite(float(fields[2]))
+            except (csv.Error, ValueError):
+                ok = False
+            if not ok:
+                bad.append(lineno)
+        _, report = load_csv(io.StringIO(text))
+        assert report.rows_read == rows_read
+        assert [lineno for lineno, _ in report.bad_rows] == bad
 
     def test_path_round_trip(self, tmp_path):
         path = tmp_path / "data.csv"
