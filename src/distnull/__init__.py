@@ -21,12 +21,8 @@ from .varratio import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-# Each public name is listed once, in the __all__ of the module that defines it.
-__all__ = ["__version__"]
-__all__ += errors.__all__
-__all__ += special.__all__
-__all__ += point.__all__
-__all__ += distributional.__all__
-__all__ += criterion.__all__
-__all__ += varratio.__all__
-__all__ += mc.__all__
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, special, point, distributional, criterion, varratio, mc)
+    for name in module.__all__
+]

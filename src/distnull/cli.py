@@ -61,7 +61,7 @@ def _load_config(path: str | None) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise DataFormatError(f"bad config file {path!r}: {exc}") from exc
     if not parser.has_section("defaults"):
         return {}
@@ -482,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config(args.config)
         fmt = _pick_format(args, config)
         return args.func(args, config, fmt)
-    except (DomainError, DataFormatError, OSError, UnicodeDecodeError) as exc:
+    except (DomainError, DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverFailure as exc:

@@ -217,10 +217,7 @@ def load_csv(
                 continue
             report.rows_read += 1
             try:
-                fields = line.split(",")
-                # csv.reader gives the same fields unless a quote or an inner CR is present
-                if '"' in line or "\r" in line.rstrip("\r\n"):
-                    fields = next(csv.reader([line]))
+                fields = next(csv.reader([line]))
                 if len(fields) != 3:
                     raise DataFormatError(f"expected 3 fields, got {len(fields)}")
                 site, measure, raw_value = fields
@@ -240,9 +237,12 @@ def load_csv(
 def _opened(source: str | TextIO, mode: str) -> Iterator[TextIO]:
     if hasattr(source, "read" if mode == "r" else "write"):
         yield source
-    else:
-        with open(source, mode, encoding="utf-8", newline="") as fh:
+        return
+    with open(source, mode, encoding="utf-8", newline="") as fh:
+        try:
             yield fh
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{source!r} is not UTF-8: {exc}") from exc
 
 
 @dataclass(frozen=True)

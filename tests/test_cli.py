@@ -255,14 +255,15 @@ class TestExitCodes:
         good.write_text(DATA_CSV, encoding="utf-8")
         ini = tmp_path / "latin1.ini"
         ini.write_bytes(b"[defaults]\nalpha = 0.05\n[g]\nmeasures = caf\xe9\n")
-        for argv in (
-            ["qest", "--data", str(data)],
-            ["qest", "--data", str(good), "--groups", str(ini)],
-            ["thumb", "--nu", "10", "--config", str(ini)],
+        for argv, bad in (
+            (["qest", "--data", str(data)], data),
+            (["qest", "--data", str(good), "--groups", str(ini)], ini),
+            (["thumb", "--nu", "10", "--config", str(ini)], ini),
         ):
             code, _, err = run(capsys, argv)
             assert code == 2
             assert err.startswith("error:")
+            assert str(bad) in err
 
     def test_beta_at_or_below_alpha(self, capsys):
         code, _, err = run(
