@@ -4,7 +4,8 @@ Subcommands: test, replicate, range, qest, simulate, thumb.  Reports
 render as human-readable text, CSV, or versioned JSON (--format).
 Defaults for alpha, beta, seed, trials, q_ceiling, and format can come
 from an INI config file with a [defaults] section (--config); explicit
-flags always win.
+flags always win.  Only qest and simulate import numpy (through
+varratio and mc); the other subcommands start without it.
 
 Exit codes: 0 success (a no-solution result is a success), 2 usage or
 data errors, 3 solver failure.
@@ -19,7 +20,7 @@ import math
 import sys
 import warnings
 
-from . import varratio
+from . import __version__
 from .criterion import THUMB_RATIO, Criteria, NoSolution, q_interval, rule_of_thumb
 from .distributional import (
     DistributionalNull,
@@ -31,7 +32,6 @@ from .distributional import (
     t_statistic,
 )
 from .errors import DataFormatError, DomainError, SolverFailure
-from .mc import SimConfig, fpr_vs_n, simulate_fpr, simulate_replication
 from .point import point_test, power_replication_estimate
 
 SCHEMA_VERSION = 1
@@ -270,6 +270,8 @@ def _warnings_to_stderr(fn, *args, **kwargs):
 
 
 def _cmd_qest(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int:
+    from . import varratio
+
     dataset, report = varratio.load_csv(args.data, min_cell_n=args.min_cell_n)
     for lineno, reason in report.bad_rows:
         print(f"warning: {args.data} line {lineno}: {reason}", file=sys.stderr)
@@ -310,6 +312,8 @@ def _cmd_qest(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int
 
 
 def _cmd_simulate(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int:
+    from .mc import SimConfig, fpr_vs_n, simulate_fpr, simulate_replication
+
     alpha = _setting(args, config, "alpha", float)
     seed = _setting(args, config, "seed", int)
     trials = _setting(args, config, "trials", int)
@@ -402,6 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="distnull",
         description="Significance and replication testing against distributional nulls.",
     )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_test = sub.add_parser("test", parents=[common], help="significance test report")

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, SolverFailure
 from .point import _check_alpha, _t_alpha
 from .special import t_cdf, t_quantile
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Criteria",
@@ -152,6 +153,8 @@ def r_crit(criteria: Criteria, nu: float, n: int, q: float) -> JointCriterionRes
 
 def r_curve(criteria: Criteria, nu: float, n: int, q: np.ndarray) -> np.ndarray:
     """Vectorized R_q over an array of positive q values."""
+    import numpy as np
+
     q = np.asarray(q, dtype=float)
     if np.any(q <= 0.0) or not np.all(np.isfinite(q)):
         raise DomainError("all q values must be positive and finite")

@@ -68,6 +68,14 @@ def _betacf(a: float, b: float, x: float) -> float:
     )
 
 
+def _log_beta(a: float, b: float) -> float:
+    # ln B(a, b); lgamma overflows once a or b passes about 2.5e305.
+    try:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    except OverflowError:
+        raise DomainError(f"ln B(a, b) overflows at a={a}, b={b}") from None
+
+
 def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta function I_x(a, b).
 
@@ -81,11 +89,7 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    ln_front = (
-        a * math.log(x)
-        + b * math.log1p(-x)
-        - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-    )
+    ln_front = a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b)
     front = math.exp(ln_front)
     # Use the fraction directly where it converges fast, else via symmetry.
     if x < (a + 1.0) / (a + b + 2.0):

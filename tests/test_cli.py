@@ -6,6 +6,7 @@ import subprocess
 
 import pytest
 
+import distnull
 from distnull.cli import main
 from distnull.criterion import Criteria, q_interval, r_crit
 from distnull.distributional import DistributionalNull, replication_probability
@@ -279,6 +280,25 @@ class TestExitCodes:
         code, _, err = run(capsys, ["range", "--t", "5", "--nu", "19", "--n", "20"])
         assert code == 3
         assert "solver failure" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["range", "--t", "3", "--nu", "1e308", "--n", "20"],
+            ["thumb", "--nu", "1e308"],
+            ["test", "--t", "3", "--nu", "1e308", "--n", "20", "--q", "0.1"],
+            ["replicate", "--t", "3", "--nu", "1e308", "--n", "20", "--q", "0.1"],
+        ],
+    )
+    def test_overflowing_nu(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "overflows" in err
+
+    def test_version(self, capsys):
+        code, out, err = run(capsys, ["--version"])
+        assert (code, out, err) == (0, f"distnull {distnull.__version__}\n", "")
 
 
 class TestQest:

@@ -1,0 +1,110 @@
+"""Start-up cost: numpy loads only for the subcommands and modules that use it.
+
+Each case runs in a fresh interpreter, since an import made by any other
+test would otherwise already sit in ``sys.modules``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import distnull
+
+SRC = str(Path(distnull.__file__).resolve().parent.parent)
+
+# Runs the CLI the way the console script does, then reports on a last line.
+CLI_CHILD = """\
+import json, sys
+import distnull.cli
+code = distnull.cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def _cli(argv: list[str]) -> dict:
+    return json.loads(_python(CLI_CHILD, *argv).stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["test", "--t", "2.5", "--nu", "19", "--n", "20", "--q", "0.1"], 0),
+        (["replicate", "--t", "2.5", "--nu", "19", "--n", "20", "--q", "0.1",
+          "--format", "json"], 0),
+        (["range", "--t", "5.2", "--nu", "19", "--n", "20", "--format", "csv"], 0),
+        (["thumb", "--nu", "19"], 0),
+        (["test", "--n", "20"], 2),
+        (["thumb", "--nu", "1e308"], 2),
+        (["--help"], 0),
+        (["--version"], 0),
+    ],
+    ids=["test", "replicate", "range", "thumb", "usage-error", "domain-error", "help", "version"],
+)
+def test_closed_form_subcommands_skip_numpy(argv, code):
+    assert _cli(argv) == {"code": code, "numpy": False}
+
+
+def test_qest_and_simulate_load_numpy(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("site,measure,value\na,m,1\na,m,2\nb,m,2\nb,m,5\n", encoding="utf-8")
+    assert _cli(["qest", "--data", str(data)]) == {"code": 0, "numpy": True}
+    simulate = ["simulate", "--n", "20", "--q-true", "0", "--trials", "2000"]
+    assert _cli(simulate) == {"code": 0, "numpy": True}
+
+
+def test_package_import_skips_numpy():
+    proc = _python("import sys, distnull; print('numpy' in sys.modules)")
+    assert proc.stdout.strip() == "False"
+
+
+# Each check starts from a bare ``import distnull``, with nothing else loaded.
+LAZY_CHECKS = {
+    "modules": """
+import sys
+assert distnull.varratio is sys.modules["distnull.varratio"]
+assert distnull.mc is sys.modules["distnull.mc"]
+""",
+    "names": """
+assert distnull.summarize is distnull.varratio.summarize
+assert distnull.SimConfig is distnull.mc.SimConfig
+""",
+    "dir": """
+missing = set(distnull.__all__) - set(dir(distnull))
+assert not missing, missing
+""",
+    "star": """
+namespace = {}
+exec("from distnull import *", namespace)
+missing = [name for name in distnull.__all__ if name not in namespace]
+assert not missing, missing
+assert "SimConfig" in namespace and "summarize" in namespace
+""",
+}
+
+
+@pytest.mark.parametrize("check", sorted(LAZY_CHECKS))
+def test_lazy_names_behave_like_eager_ones(check):
+    _python("import distnull\n" + LAZY_CHECKS[check])
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        distnull.no_such_name

@@ -72,6 +72,11 @@ class TestRegIncBeta:
             reg_inc_beta(1.01, 1.0, 1.0)
         with pytest.raises(DomainError):
             reg_inc_beta(0.5, math.inf, 1.0)
+        # finite shapes whose log-beta overflows a float
+        with pytest.raises(DomainError, match="overflows"):
+            reg_inc_beta(0.5, 1e306, 0.5)
+        with pytest.raises(DomainError, match="overflows"):
+            t_quantile(0.95, 1e308)
 
     @given(
         x1=st.floats(0.0, 1.0),
