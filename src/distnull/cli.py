@@ -32,7 +32,7 @@ from .distributional import (
     t_statistic,
 )
 from .errors import DataFormatError, DomainError, SolverFailure
-from .point import point_test, power_replication_estimate
+from .point import _check_n, point_test, power_replication_estimate
 
 SCHEMA_VERSION = 1
 
@@ -158,7 +158,7 @@ def _resolve_stats(args: argparse.Namespace) -> tuple[float, float, int]:
             raise DomainError("give either --t/--nu or --mean/--sd, not both")
         if args.mean2 is not None or args.sd2 is not None:
             raise DomainError("--mean2/--sd2 need --mean/--sd, not --t/--nu")
-        return args.t, args.nu, args.n
+        return args.t, args.nu, _check_n(args.n)
     if args.design is None or args.mean is None or args.sd is None:
         raise DomainError("need --design, --n, --mean and --sd (or --t with --nu)")
     design = _DESIGNS[args.design]

@@ -10,10 +10,10 @@ u = qN, and their maximum
 
 is unimodal in u: it blows up as q -> 0 (replication of a significant
 result under a near-point null is pure luck) and grows like sqrt(1 + qN)
-for large q.  That shape is what the solvers here exploit: a golden
-section search finds the minimum, and bisection on each side of it
-inverts R to find the q-range [q1, q2] over which a given result meets
-both criteria.  The upper endpoint gamma = q2 measures how much
+for large q.  So one bisection in log u finds the minimum, where the
+slope of R changes sign, and the crossings of R with |t1| on each side
+of it: the q-range [q1, q2] over which a given result meets both
+criteria.  The upper endpoint gamma = q2 measures how much
 cross-experiment variability a result can tolerate.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, SolverFailure
-from .point import _check_alpha, _t_alpha
+from .point import _check_alpha, _check_n, _t_alpha
 from .special import t_cdf, t_quantile
 
 if TYPE_CHECKING:
@@ -107,8 +107,13 @@ class RuleOfThumb(NamedTuple):
 
 
 def _quantiles(criteria: Criteria, nu: float) -> tuple[float, float]:
-    # The whole curve is arithmetic in these two constants.
-    return _t_alpha(criteria.alpha, nu), t_quantile(criteria.beta, nu)
+    # The whole curve is arithmetic in these two constants.  beta > alpha
+    # gives a + b > 0, on which q_interval's left bracket rests; rounding
+    # breaks it for beta within ulps of alpha or a nu that saturates both.
+    a, b = _t_alpha(criteria.alpha, nu), t_quantile(criteria.beta, nu)
+    if not a + b > 0.0:
+        raise DomainError(f"beta={criteria.beta} is too close to alpha at nu={nu}")
+    return a, b
 
 
 def _t_crit_u(a: float, u: float) -> float:
@@ -145,7 +150,7 @@ def r_crit(criteria: Criteria, nu: float, n: int, q: float) -> JointCriterionRes
     """Both thresholds and their maximum R_q at a single q."""
     _check_q_positive(q)
     a, b = _quantiles(criteria, nu)
-    u = q * n
+    u = q * _check_n(n)
     rep = _t_rep_u(a, b, u)
     crit = _t_crit_u(a, u)
     return JointCriterionResult(t_rep=rep, t_crit=crit, r_q=max(rep, crit), q=q)
@@ -159,7 +164,7 @@ def r_curve(criteria: Criteria, nu: float, n: int, q: np.ndarray) -> np.ndarray:
     if np.any(q <= 0.0) or not np.all(np.isfinite(q)):
         raise DomainError("all q values must be positive and finite")
     a, b = _quantiles(criteria, nu)
-    u = q * n
+    u = q * _check_n(n)
     crit = a * np.sqrt(1.0 + u)
     rep = (1.0 + 1.0 / u) * (crit + b * np.sqrt((1.0 + 2.0 * u) / (1.0 + u)))
     return np.maximum(rep, crit)
@@ -181,39 +186,32 @@ def rule_of_thumb(alpha: float, nu: float) -> RuleOfThumb:
 def minimize_r(criteria: Criteria, nu: float, n: int) -> tuple[float, float]:
     """Locate the minimum of R_q: returns (q_at_min, r_min).
 
-    Golden section search on log(qN) over [1e-6, 1e6]; unimodality makes
-    the bracket update safe.  For beta = 0.5 the minimum sits at qN = 2
-    with r_min = (3 sqrt(3) / 2) T_nu^{-1}(1 - alpha), which the search
-    reproduces rather than special-cases.
+    Bisection on the sign of the slope in log(qN) over [1e-6, 1e6]; it
+    also finds a kink minimum, where t_rep meets t_crit (beta near alpha).
+    For beta = 0.5 the minimum sits at qN = 2 with r_min =
+    (3 sqrt(3) / 2) T_nu^{-1}(1 - alpha), which the search reproduces
+    rather than special-cases.
     """
-    return _minimize_r(*_quantiles(criteria, nu), n)
+    return _minimize_r(*_quantiles(criteria, nu), _check_n(n))
 
 
 def _minimize_r(a: float, b: float, n: int) -> tuple[float, float]:
-    # Golden section on log(u), u = qN, for quantiles a and b.
-    lo, hi = math.log(_U_LO), math.log(_U_HI)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1 = _r_u(a, b, math.exp(x1))
-    f2 = _r_u(a, b, math.exp(x2))
-    while hi - lo > 1e-11:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = _r_u(a, b, math.exp(x1))
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = _r_u(a, b, math.exp(x2))
-    u_min = math.exp(0.5 * (lo + hi))
+    def slope(u: float) -> float:
+        # d ln R / du, or just its sign where R = t_crit, which rises:
+        # t_rep - t_crit = sqrt(1 + u) (a + b s) / u.
+        s = math.sqrt(1.0 + 2.0 * u)
+        if a + b * s < 0.0:
+            return 1.0
+        return 0.5 / (1.0 + u) - 1.0 / u + (a + b / s) / (a * (1.0 + u) + b * s)
+
+    u_min = _bisect_log(slope, math.log(_U_HI), math.log(_U_LO))
     return u_min / n, _r_u(a, b, u_min)
 
 
-def _bisect_log(f, log_outer: float, log_inner: float) -> float:
-    # Root of f between an outer point (f >= 0 there) and an inner point
-    # at the curve minimum (f <= 0 there).  Bisection in log-u.
-    lo, hi = log_outer, log_inner
+def _bisect_log(f, log_pos: float, log_neg: float) -> float:
+    # Sign change of f between log u = log_pos (f >= 0 there) and
+    # log u = log_neg (f < 0 there), by bisection in log u to 1e-12.
+    lo, hi = log_pos, log_neg
     for _ in range(200):
         if abs(hi - lo) <= 1e-12:
             break
@@ -243,6 +241,9 @@ def q_interval(
         raise DomainError(f"t1 must be finite, got {t1}")
     if not (q_ceiling > 0.0 and math.isfinite(q_ceiling)):
         raise DomainError(f"q_ceiling must be positive and finite, got {q_ceiling}")
+    u_ceiling = q_ceiling * _check_n(n)
+    if not math.isfinite(u_ceiling):
+        raise DomainError(f"q_ceiling * n must be finite, got {q_ceiling} * {n}")
     t_abs = abs(t1)
     a, b = _quantiles(criteria, nu)
     q_at_min, r_min = _minimize_r(a, b, n)
@@ -255,19 +256,15 @@ def q_interval(
     u_min = q_at_min * n
     tol = 1e-8 * t_abs
 
-    # Left root: R decreases toward the minimum, so walk the bracket out
-    # until R clears |t1| (it always does eventually, R ~ 1/u near 0).
-    u_left = min(_U_LO, u_min)
-    while excess(u_left) < 0.0:
-        u_left *= 1e-3
-        if u_left < 1e-290:
-            raise SolverFailure(f"no left bracket for t1={t1}")
+    # Left root: u t_rep(u) >= a + b for every u, so R >= 2|t1| at
+    # u = (a + b) / (2|t1|), which lies left of u_min.  If that u
+    # underflows, so does the root; the residual check reports it.
+    u_left = max(0.5 * (a + b) / t_abs, math.ulp(0.0))
     u1 = _bisect_log(excess, math.log(u_left), math.log(u_min))
     if abs(excess(u1)) > tol:
         raise SolverFailure(f"left root tolerance not met for t1={t1}")
 
     # Right root, censored at the ceiling.
-    u_ceiling = q_ceiling * n
     censored = u_ceiling <= u_min or excess(u_ceiling) < 0.0
     if censored:
         q2 = q_ceiling

@@ -38,8 +38,9 @@ class PointTestReport:
 
 
 def _check_n(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise DomainError(f"sample size must be an integer >= 2, got {n!r}")
+    # The cap keeps N and 2N - 2 within float range.
+    if not isinstance(n, int) or isinstance(n, bool) or not 2 <= n <= 2**1022:
+        raise DomainError(f"sample size must be an integer in [2, 2**1022], got {n!r}")
     return n
 
 

@@ -11,6 +11,7 @@ from distnull.cli import main
 from distnull.criterion import Criteria, q_interval, r_crit
 from distnull.distributional import DistributionalNull, replication_probability
 from distnull.errors import SolverFailure
+from distnull.special import t_quantile
 
 DATA_CSV = """\
 site,measure,value
@@ -271,6 +272,47 @@ class TestExitCodes:
             capsys, ["range", "--t", "5", "--nu", "19", "--n", "20", "--beta", "0.02"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("t", ["1e300", "1.7e308"])
+    def test_huge_t_has_a_left_root(self, capsys, t):
+        doc, _ = run_json(capsys, ["range", "--t", t, "--nu", "19", "--n", "20"])
+        # at beta = 0.5, T^-1(beta) = 0 and q1 ~ (a + b) / (|t| n) = a / (|t| n)
+        expected = t_quantile(0.95, 19) / (float(t) * 20)
+        assert doc["result"]["q1"] == pytest.approx(expected, rel=1e-9)
+
+    def test_left_root_below_float_range_exits_3(self, capsys):
+        # a + b is about 8e-16 here, so the left bracket (a + b) / (2|t|)
+        # underflows to 0, and no float u has R(u) = |t|
+        code, out, err = run(capsys, [
+            "range", "--t", "1.7e308", "--nu", "19", "--n", "20",
+            "--alpha", "0.3", "--beta", "0.3000000000000008",
+        ])
+        assert (code, out) == (3, "")
+        assert err.startswith("solver failure:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["range", "--t", "5", "--nu", "19", "--n", "0"],
+            ["range", "--t", "5", "--nu", "19", "--n", "-5"],
+            ["range", "--t", "5", "--nu", "19", "--n", "1"],
+            ["range", "--t", "5", "--nu", "19", "--n", str(10**400)],
+            # q_ceiling * n overflows
+            ["range", "--t", "5", "--nu", "19", "--n", str(2**1020)],
+            ["range", "--t", "5", "--nu", "19", "--n", "20",
+             "--alpha", "0.05", "--beta", "0.05000000000000001"],
+            ["test", "--t", "5", "--nu", "19", "--q", "0.1", "--n", str(10**400)],
+            ["replicate", "--t", "5", "--nu", "19", "--q", "0.1", "--n", str(10**400)],
+            ["test", "--design", "two-sample", "--n", str(2**1023), "--mean", "1",
+             "--sd", "1", "--q", "0.1"],
+            ["simulate", "--n", str(10**400), "--q-true", "0.1"],
+        ],
+    )
+    def test_bad_n_or_criteria_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_solver_failure_maps_to_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):

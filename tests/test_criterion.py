@@ -15,6 +15,8 @@ from distnull.criterion import (
     r_curve,
     rule_of_thumb,
     t_rep,
+    _quantiles,
+    _r_u,
 )
 from distnull.errors import DomainError
 from distnull.special import t_quantile
@@ -154,10 +156,21 @@ class TestMinimizeR:
         for alpha, nu, n in [(0.05, 19.0, 20), (0.01, 9.0, 50), (0.1, 120.0, 7)]:
             criteria = Criteria(alpha=alpha, beta=0.5)
             q_at_min, r_min = minimize_r(criteria, nu, n)
-            assert q_at_min * n == pytest.approx(2.0, abs=1e-6)
+            assert q_at_min * n == pytest.approx(2.0, abs=1e-11)
             assert r_min == pytest.approx(
                 THUMB_RATIO * t_quantile(1.0 - alpha, nu), abs=1e-9
             )
+
+    def test_kink_minimum_for_beta_near_alpha(self):
+        # Close to alpha, R's minimum is the kink where t_rep meets t_crit:
+        # a + b sqrt(1 + 2u) = 0, so u = ((a / b)^2 - 1) / 2.
+        for beta, nu in ((0.06, 3.0), (0.06, 19.0), (0.1, 200.0)):
+            criteria = Criteria(alpha=0.05, beta=beta)
+            a, b = _quantiles(criteria, nu)
+            u_kink = 0.5 * ((a / b) ** 2 - 1.0)
+            q_at_min, r_min = minimize_r(criteria, nu, 20)
+            assert q_at_min * 20 == pytest.approx(u_kink, rel=1e-10)
+            assert r_min == pytest.approx(a * math.sqrt(1.0 + u_kink), rel=1e-11)
 
     def test_matches_dense_grid_oracle(self):
         q_at_min, r_min = minimize_r(C_HIGH, 19, 20)
@@ -229,6 +242,60 @@ class TestQInterval:
             q_interval(math.inf, C_HALF, 19, 20)
         with pytest.raises(DomainError):
             q_interval(5.0, C_HALF, 19, 20, q_ceiling=0.0)
+        # q_ceiling * n overflows
+        with pytest.raises(DomainError):
+            q_interval(5.0, C_HALF, 19, 2**1020)
+
+    @pytest.mark.parametrize(
+        "n", [0, -5, 1, True, 20.0, 10**400], ids=["0", "-5", "1", "True", "20.0", "10**400"]
+    )
+    def test_n_is_checked(self, n):
+        for call in (
+            lambda: q_interval(5.0, C_HALF, 19, n),
+            lambda: minimize_r(C_HALF, 19, n),
+            lambda: r_crit(C_HALF, 19, n, 0.1),
+            lambda: t_rep(C_HALF, 19, n, 0.1),
+            lambda: r_curve(C_HALF, 19, n, np.array([0.1])),
+        ):
+            with pytest.raises(DomainError):
+                call()
+
+    def test_degenerate_quantiles_rejected(self):
+        # beta one ulp above alpha, and a nu so small that both quantiles
+        # saturate: T^-1(1 - alpha) + T^-1(beta) rounds to 0
+        for criteria, nu in (
+            (Criteria(alpha=0.05, beta=0.05000000000000001), 19.0),
+            (Criteria(alpha=0.05, beta=0.074), 0.0014),
+        ):
+            with pytest.raises(DomainError):
+                q_interval(5.0, criteria, nu, 20)
+            with pytest.raises(DomainError):
+                minimize_r(criteria, nu, 20)
+
+    def test_huge_t_has_the_asymptotic_left_root(self):
+        a, b = _quantiles(C_HIGH, 19)
+        for t1 in (1e12, 1e300, -1.7e308):
+            outcome = q_interval(t1, C_HIGH, 19, 20)
+            assert isinstance(outcome, QInterval)
+            assert outcome.q1 == pytest.approx((a + b) / (abs(t1) * 20), rel=1e-9)
+            assert outcome.q2_censored
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(0.001, 0.45),
+        gap=st.floats(0.0, 1.0),
+        log_nu=st.floats(math.log(0.5), math.log(1e6)),
+        w=st.floats(0.0, 1.0),
+    )
+    def test_left_bracket_clears_t(self, alpha, gap, log_nu, w):
+        # q_interval's left bracket u = (a + b) / (2|t1|) must have R >= |t1|.
+        beta = alpha + 1e-3 + gap * (0.999 - alpha - 1e-3)
+        criteria = Criteria(alpha=alpha, beta=beta)
+        nu = math.exp(log_nu)
+        _, r_min = minimize_r(criteria, nu, 20)
+        t1 = math.exp((1.0 - w) * math.log(r_min) + w * math.log(1e308))
+        a, b = _quantiles(criteria, nu)
+        assert _r_u(a, b, 0.5 * (a + b) / t1) >= t1
 
     @settings(max_examples=40)
     @given(

@@ -63,6 +63,10 @@ def test_domain_checks():
         point_z_crit(0.5, 10, 9)
     with pytest.raises(DomainError):
         point_z_crit(0.05, 0, 9)
+    # largest accepted n, and the first one past it
+    assert point_z_crit(0.05, 2**1022, 9) > 0.0
+    with pytest.raises(DomainError):
+        point_z_crit(0.05, 2**1022 + 1, 9)
 
 
 def test_report_fields_consistent():
