@@ -6,13 +6,17 @@ identity
 
     T_nu(x) = 1 - I_w(nu/2, 1/2) / 2,   w = nu / (nu + x^2),  x >= 0
 
-and symmetry for x < 0.  Quantiles invert the CDF with a safeguarded
-Newton iteration.  Plain floats throughout; no external dependencies.
+and symmetry for x < 0.  Quantiles invert the CDF with Newton steps
+from Hill's (1970, CACM Algorithm 396) start value, safeguarded by
+bisection; below nu = 1, where Hill's expansion does not hold, a
+doubling bracket gives the start instead.  Plain floats throughout; no
+external dependencies.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DomainError, SolverFailure
 
@@ -115,20 +119,65 @@ def t_cdf(x: float, nu: float) -> float:
     return 1.0 - half_tail if x > 0.0 else half_tail
 
 
-def _t_pdf(x: float, nu: float) -> float:
-    # Density of the t distribution; used as the Newton derivative.
-    ln_norm = (
-        math.lgamma(0.5 * (nu + 1.0))
-        - math.lgamma(0.5 * nu)
-        - 0.5 * math.log(nu * math.pi)
+# Largest x whose square is still finite; t_cdf is exactly 1 beyond it.
+_X_SQ_MAX = math.sqrt(sys.float_info.max)
+
+
+def _normal_upper_quantile(tail: float) -> float:
+    # The z with 1 - Phi(z) = tail, for 0 < tail <= 1/2: Abramowitz &
+    # Stegun 26.2.23 (error below 4.5e-4), then two Newton steps on
+    # erfc, which cost far less than the t_cdf calls they save.
+    t = math.sqrt(-2.0 * math.log(tail))
+    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
     )
-    return math.exp(ln_norm - 0.5 * (nu + 1.0) * math.log1p(x * x / nu))
+    for _ in range(2):
+        dens = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        z += (0.5 * math.erfc(z / math.sqrt(2.0)) - tail) / dens
+    return z
+
+
+def _hill_start(tail: float, nu: float) -> float:
+    # Hill (1970), CACM Algorithm 396: the x > 0 with 1 - T_nu(x) = tail,
+    # approximately, for nu >= 1.  Exact at nu = 1 and nu = 2.
+    if nu == 1.0:
+        return 1.0 / math.tan(math.pi * tail)
+    if nu == 2.0:
+        return (1.0 - 2.0 * tail) / math.sqrt(2.0 * tail * (1.0 - tail))
+    big_p = 2.0 * tail  # two-sided tail probability
+    a = 1.0 / (nu - 0.5)
+    # 48 / a^2, written so that it overflows to inf instead of dividing
+    # by an underflowed a^2 at huge nu.
+    b = 48.0 * (nu - 0.5) * (nu - 0.5)
+    c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
+    d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(a * math.pi / 2.0) * nu
+    y = (d * big_p) ** (2.0 / nu)
+    if y > 0.05 + a or (nu < 2.1 and big_p > 0.5):
+        # Expansion about the normal quantile; the far-tail series below
+        # is off by a factor of up to 7e3 near p = 1/2 when nu is just above 1.
+        x = -_normal_upper_quantile(tail)
+        if nu < 5.0:
+            c += 0.3 * (nu - 4.5) * (x + 0.6)
+        c = (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b + c
+        y = (((((0.4 * x * x + 6.3) * x * x + 36.0) * x * x + 94.5) / c
+              - x * x - 3.0) / b + 1.0) * x
+        y = math.expm1(a * y * y)
+    elif y > 0.0:
+        # Far tail: series in y = (d * P)^(2 / nu).
+        y = ((1.0 / (((nu + 6.0) / (nu * y) - 0.089 * d - 0.822)
+                     * (nu + 2.0) * 3.0) + 0.5 / (nu + 4.0)) * y - 1.0) * (
+            nu + 1.0) / (nu + 2.0) + 1.0 / y
+    else:
+        return math.inf  # y underflowed: the quantile is past 1e154
+    return math.sqrt(nu * y)
 
 
 def t_quantile(p: float, nu: float) -> float:
     """Inverse t CDF: the x with t_cdf(x, nu) = p.
 
     Antisymmetric about p = 1/2: t_quantile(1 - p) = -t_quantile(p).
+    Raises DomainError when |x| is so large that x^2 overflows, where
+    t_cdf cannot tell x from infinity.
     """
     nu = _check_nu(nu)
     if not (0.0 < p < 1.0):
@@ -136,34 +185,61 @@ def t_quantile(p: float, nu: float) -> float:
     if p == 0.5:
         return 0.0
     # Solve on the upper half only, mirror afterwards.
-    target = max(p, 1.0 - p)
-    lo, hi = 0.0, 1.0
-    while t_cdf(hi, nu) < target:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e300:
-            raise SolverFailure(f"quantile bracket overflow at p={p}, nu={nu}")
-    x = 0.5 * (lo + hi)
-    # Newton with bisection fallback; the CDF is smooth and monotone, so
-    # this converges long before the iteration cap.
+    tail = min(p, 1.0 - p)
+    target = 1.0 - tail
+    # The t density is f(x) = exp(ln_f0 - (nu + 1)/2 ln(1 + x^2/nu)).
+    ln_f0 = -_log_beta(0.5 * nu, 0.5) - 0.5 * math.log(nu)
+    lo, hi = 0.0, math.inf
+    if nu >= 1.0:
+        x = _hill_start(tail, nu)
+    else:
+        # Hill's expansion needs nu >= 1; bracket by doubling instead.
+        hi = 1.0
+        while t_cdf(hi, nu) < target:
+            lo, hi = hi, min(2.0 * hi, _X_SQ_MAX)
+            if lo == hi:
+                break  # even t_cdf(_X_SQ_MAX) is below target
+        x = 0.5 * (lo + hi)
+    if not x < _X_SQ_MAX:
+        raise DomainError(f"quantile beyond the float range at nu={nu}, p={p}")
+    # Newton with a bisection safeguard.  Concavity of the CDF on x > 0
+    # keeps steps from below short of the root; the first step from above
+    # overshoots and closes the bracket.
+    best_f, best_x, best_step = math.inf, x, 0.0
+    prev_f = math.inf
     for _ in range(128):
         f = t_cdf(x, nu) - target
-        if abs(f) <= 1e-15:
+        dens = math.exp(ln_f0 - 0.5 * (nu + 1.0) * math.log1p(x * x / nu))
+        step = f / dens if dens > 0.0 else 0.0
+        if abs(f) < best_f:
+            best_f, best_x, best_step = abs(f), x, step
+        halved = abs(f) <= 0.5 * prev_f
+        # Converged, or near the root a Newton step failed to halve |f|, so
+        # t_cdf's own rounding is the limit: finish with the Newton step
+        # from the best point seen, kept inside the bracket.
+        if abs(f) <= 1e-15 or (not halved and abs(f) < 1e-8):
+            x = min(max(best_x - best_step, lo), hi)
             break
         if f > 0.0:
             hi = x
         else:
             lo = x
-        dens = _t_pdf(x, nu)
-        step_ok = dens > 0.0
-        if step_ok:
-            x_new = x - f / dens
-            step_ok = lo < x_new < hi
-        if not step_ok:
-            x_new = 0.5 * (lo + hi)
-        if x_new == x:
-            break
+        # Bisect (or double, while hi is open) after a Newton step that
+        # failed to halve |f|, or instead of one that would leave the
+        # bracket.  Only Newton steps are held to halving.
+        x_new, prev_f = x - step, abs(f)
+        if not (halved and step and lo < x_new < hi):
+            x_new = 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
+            prev_f = math.inf
+            if not lo < x_new < hi:
+                x = hi  # lo and hi are adjacent floats around the root
+                break
         x = x_new
+    else:
+        raise SolverFailure(
+            f"t quantile did not converge at p={p}, nu={nu}: "
+            f"bracket [{lo}, {hi}], residual {best_f:.3g}"
+        )
     return x if p > 0.5 else -x
 
 

@@ -5,7 +5,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from distnull.errors import DomainError
+from distnull import special
+from distnull.errors import DomainError, SolverFailure
 from distnull.special import normal_cdf, reg_inc_beta, t_cdf, t_quantile
 
 # Reference quantiles computed once with an independent implementation
@@ -13,6 +14,37 @@ from distnull.special import normal_cdf, reg_inc_beta, t_cdf, t_quantile
 T_PPF_95_NU10 = 1.8124611228107335
 T_PPF_95_NU19 = 1.729132811521367
 NORM_PPF_975 = 1.959963984540054
+
+# nu -> scipy.special.stdtrit(nu, p) for each p in T_PPF_PS, frozen.
+T_PPF_PS = (0.6, 0.75, 0.9, 0.95, 0.975, 0.99, 0.995, 0.999)
+T_PPF_GRID = {
+    0.5: (0.3979754267847907, 1.5537739740300383, 10.27032441023451, 41.13600009287819,
+          164.55767348048818, 1028.4910104716198, 4113.964588804174, 102849.11563017538),
+    1.0: (0.32491969623290634, 1.0000000000000002, 3.0776835371752544, 6.313751514675037,
+          12.706204736174694, 31.820515953773935, 63.656741162871526, 318.30883898555015),
+    1.5: (0.30074539256979543, 0.8725946625415716, 2.1963984175655376, 3.70518082009675,
+          6.016663104427929, 11.197316179568393, 17.820310514462804, 52.18443000899263),
+    2.0: (0.2886751345948128, 0.8164965809277261, 1.8856180831641272, 2.9199855803537242,
+          4.302652729749462, 6.9645567342832715, 9.924843200918287, 22.327124770119866),
+    3.0: (0.2766706623326898, 0.7648923284043444, 1.637744353696209, 2.3533634348018233,
+          3.1824463052837078, 4.540702858568132, 5.840909309733355, 10.214531852407383),
+    5.0: (0.2671808657041451, 0.7266868438004226, 1.4758840488244815, 2.0150483733330233,
+          2.5705818356363146, 3.3649299989072174, 4.032142983555228, 5.893429531356009),
+    10.0: (0.2601848294920803, 0.6998120613124317, 1.372183641110336, 1.8124611228116756,
+           2.228138851986274, 2.7637694581126957, 3.16927267261695, 4.143700494046589),
+    19.0: (0.25692281979615467, 0.6876214602039602, 1.3277282090267986, 1.7291328115213682,
+           2.0930240544083087, 2.5394831906239625, 2.8609346064649794, 3.5794001489547154),
+    30.0: (0.2556053649519128, 0.6827556933212927, 1.3104150253913955, 1.697260886593957,
+           2.0422724563012378, 2.457261542400591, 2.7499956535672254, 3.3851848668293045),
+    100.0: (0.25402218245822766, 0.6769510430114717, 1.290074761346516, 1.6602343260853392,
+            1.9839715185235518, 2.3642173662384813, 2.6258905214380173, 3.173739493738783),
+    1e3: (0.25341451583949876, 0.6747351646070093, 1.2823987214609247, 1.6463788172854643,
+          1.9623390808264083, 2.330082674755513, 2.580754698065951, 3.0984021639129233),
+    1e4: (0.253353843445727, 0.6745142844835927, 1.2816362297304775, 1.645006018069243,
+          1.960201239890626, 2.3267208386694755, 2.5763210466685282, 3.091047516030612),
+    1e5: (0.25334777715718015, 0.674492203553292, 1.2815600314493614, 1.6448688647849696,
+          1.9599877075346095, 2.326385165355268, 2.575878469908375, 3.0903138094272378),
+}
 
 # (x, nu) -> scipy.stats.t.cdf(x, nu), frozen.
 T_CDF_TABLE = [
@@ -159,12 +191,64 @@ class TestTQuantile:
         assert t_quantile(0.95, 10.0) == pytest.approx(T_PPF_95_NU10, abs=1e-11)
         assert t_quantile(0.95, 19.0) == pytest.approx(T_PPF_95_NU19, abs=1e-11)
 
+    def test_frozen_grid(self):
+        # t_cdf's own error grows with nu, and the quantile inherits it.
+        for nu, expected in T_PPF_GRID.items():
+            rel = 1e-12 if nu <= 1e3 else 1e-10
+            for p, x in zip(T_PPF_PS, expected):
+                assert t_quantile(p, nu) == pytest.approx(x, rel=rel), (p, nu)
+
+    def test_cdf_calls_per_quantile(self, monkeypatch):
+        calls = []
+        cdf = special.t_cdf
+
+        def counted(x, nu):
+            calls.append(x)
+            return cdf(x, nu)
+
+        monkeypatch.setattr(special, "t_cdf", counted)
+        cases = [
+            (p, nu)
+            for nu in [1.5, 3.0, 19.0, 100.0, 1e3, 1e4, 4e4]
+            for p in [0.9, 0.95, 0.99, 0.995, 1.0 - 1e-6]
+        ]
+        # t_cdf's rounding at large nu keeps |f| above 1e-15 here.
+        cases.append((0.9552016331372183, 68587.76053953539))
+        for p, nu in cases:
+            calls.clear()
+            t_quantile(p, nu)
+            assert len(calls) <= 5, (p, nu, len(calls))
+
+    def test_solver_failure_names_bracket_and_residual(self, monkeypatch):
+        # A CDF that never reaches the target runs out the step cap.
+        monkeypatch.setattr(special, "t_cdf", lambda x, nu: 0.5)
+        with pytest.raises(SolverFailure, match=r"bracket \[.*\], residual"):
+            t_quantile(0.95, 19.0)
+
     def test_domain_errors(self):
         for bad_p in [0.0, 1.0, -0.2, 1.3, math.nan]:
             with pytest.raises(DomainError):
                 t_quantile(bad_p, 5.0)
         with pytest.raises(DomainError):
             t_quantile(0.9, 0.0)
+
+    def test_root_beyond_float_range(self):
+        # The tail falls like x**-nu, so the root is past where x**2
+        # overflows (t_cdf(6.7e153, 0.0014) is only 0.697).
+        for nu in [0.0014, 0.003]:
+            with pytest.raises(DomainError, match="beyond the float range"):
+                t_quantile(1.0 - 0.074, nu)
+
+    @given(
+        p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        nu=st.floats(1e-3, 1e6),
+    )
+    def test_finite_or_domain_error(self, p, nu):
+        try:
+            x = t_quantile(p, nu)
+        except DomainError:
+            return
+        assert math.isfinite(x)
 
     @given(
         p=st.floats(1e-6, 1.0 - 1e-6),
