@@ -259,16 +259,6 @@ def _site_predicate(spec: str):
     return lambda site: site in allowed
 
 
-def _warnings_to_stderr(fn, *args, **kwargs):
-    """Call fn, printing the warnings it raises as ``warning:`` lines."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = fn(*args, **kwargs)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    return out
-
-
 def _cmd_qest(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int:
     from . import varratio
 
@@ -288,7 +278,14 @@ def _cmd_qest(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int
     groups = varratio.load_groups(args.groups) if args.groups else None
     if args.sites is not None:
         dataset = varratio.restrict(dataset, _site_predicate(args.sites))
-    rows = _warnings_to_stderr(varratio.summarize, dataset, groups, ddof=args.ddof)
+    # summarize and all_cells warn about the same cells; print each once.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = varratio.summarize(dataset, groups, ddof=args.ddof)
+        if args.cells_out or args.hist_out:
+            cells = varratio.all_cells(dataset, ddof=args.ddof)
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
     columns = ["group", "datapoints", "mean_q", "q025", "q975"]
     row_dicts = [
         {
@@ -302,12 +299,10 @@ def _cmd_qest(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int
     ]
     _emit_rows("qest", columns, row_dicts, fmt)
 
-    if args.cells_out or args.hist_out:
-        cells = _warnings_to_stderr(varratio.all_cells, dataset, ddof=args.ddof)
-        if args.cells_out:
-            varratio.write_cells_csv(cells, args.cells_out)
-        if args.hist_out:
-            varratio.write_histogram_csv([c.q for c in cells], args.hist_out)
+    if args.cells_out:
+        varratio.write_cells_csv(cells, args.cells_out)
+    if args.hist_out:
+        varratio.write_histogram_csv([c.q for c in cells], args.hist_out)
     return 0
 
 

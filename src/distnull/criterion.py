@@ -180,7 +180,7 @@ def rule_of_thumb(alpha: float, nu: float) -> RuleOfThumb:
     alpha = 0.05: far stricter than significance alone.
     """
     t_bound = _t_alpha(alpha, nu) * THUMB_RATIO
-    return RuleOfThumb(t_bound=t_bound, p_threshold=1.0 - t_cdf(t_bound, nu))
+    return RuleOfThumb(t_bound=t_bound, p_threshold=t_cdf(-t_bound, nu))
 
 
 def minimize_r(criteria: Criteria, nu: float, n: int) -> tuple[float, float]:
@@ -254,25 +254,25 @@ def q_interval(
         return _r_u(a, b, u) - t_abs
 
     u_min = q_at_min * n
-    tol = 1e-8 * t_abs
+
+    def root(side: str, u_far: float) -> float:
+        # The crossing of R with |t1| between u_far and u_min.
+        u = _bisect_log(excess, math.log(u_far), math.log(u_min))
+        if abs(excess(u)) > 1e-8 * t_abs:
+            lo, hi = sorted((u_far, u_min))
+            raise SolverFailure(
+                f"{side} root tolerance not met for t1={t1}: "
+                f"bracket [{lo}, {hi}] in u, residual {excess(u):.3g}"
+            )
+        return u
 
     # Left root: u t_rep(u) >= a + b for every u, so R >= 2|t1| at
     # u = (a + b) / (2|t1|), which lies left of u_min.  If that u
     # underflows, so does the root; the residual check reports it.
-    u_left = max(0.5 * (a + b) / t_abs, math.ulp(0.0))
-    u1 = _bisect_log(excess, math.log(u_left), math.log(u_min))
-    if abs(excess(u1)) > tol:
-        raise SolverFailure(f"left root tolerance not met for t1={t1}")
-
+    u1 = root("left", max(0.5 * (a + b) / t_abs, math.ulp(0.0)))
     # Right root, censored at the ceiling.
     censored = u_ceiling <= u_min or excess(u_ceiling) < 0.0
-    if censored:
-        q2 = q_ceiling
-    else:
-        u2 = _bisect_log(excess, math.log(u_ceiling), math.log(u_min))
-        if abs(excess(u2)) > tol:
-            raise SolverFailure(f"right root tolerance not met for t1={t1}")
-        q2 = u2 / n
+    q2 = q_ceiling if censored else root("right", u_ceiling) / n
 
     return QInterval(
         q1=u1 / n,

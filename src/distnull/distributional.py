@@ -142,13 +142,13 @@ def t_statistic(summary: ExperimentSummary) -> tuple[float, float]:
 
 
 def dist_p_value(t1: float, nu: float, n: int, null: DistributionalNull) -> float:
-    """p-value against the distributional null: 1 - T_nu(|t1| / sqrt(1 + qN)).
+    """p-value against the distributional null: T_nu(-|t1| / sqrt(1 + qN)).
 
     Nondecreasing in q for fixed |t1|: the more the mean is allowed to
     wander between experiments, the less surprising any one result is.
     """
     _check_n(n)
-    return 1.0 - t_cdf(abs(t1) / math.sqrt(1.0 + null.q * n), nu)
+    return t_cdf(-abs(t1) / math.sqrt(1.0 + null.q * n), nu)
 
 
 def dist_t_crit(alpha: float, nu: float, n: int, null: DistributionalNull) -> float:

@@ -57,7 +57,7 @@ def _t_alpha(alpha: float, nu: float) -> float:
 
 
 def point_p_value(z: float, n: int, nu: float, two_sided: bool = False) -> float:
-    """Upper-tail probability of the absolute statistic, 1 - T_nu(|z| sqrt(N)).
+    """Tail probability of the absolute statistic, T_nu(-|z| sqrt(N)).
 
     The default is the one-tail probability of |z|, which is the quantity
     the significance rule |z| >= z_crit corresponds to.  ``two_sided=True``
@@ -65,7 +65,7 @@ def point_p_value(z: float, n: int, nu: float, two_sided: bool = False) -> float
     expect the doubled convention, not part of the significance logic.
     """
     _check_n(n)
-    p = 1.0 - t_cdf(abs(z) * math.sqrt(n), nu)
+    p = t_cdf(-abs(z) * math.sqrt(n), nu)
     if two_sided:
         p = min(1.0, 2.0 * p)
     return p
@@ -115,4 +115,4 @@ def power_replication_estimate(
         t_a = _t_alpha(alpha, nu)
     else:
         raise DomainError(f"quantile_tail must be 'lower' or 'upper', got {quantile_tail!r}")
-    return 1.0 - normal_cdf((t_a - t1) / math.sqrt(1.0 + t_a * t_a / (2.0 * nu)))
+    return normal_cdf((t1 - t_a) / math.sqrt(1.0 + t_a * t_a / (2.0 * nu)))

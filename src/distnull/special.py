@@ -4,12 +4,13 @@ Everything here reduces to the regularized incomplete beta function
 I_x(a, b), evaluated with a continued fraction.  The t CDF uses the
 identity
 
-    T_nu(x) = 1 - I_w(nu/2, 1/2) / 2,   w = nu / (nu + x^2),  x >= 0
+    T_nu(-|x|) = I_w(nu/2, 1/2) / 2,   w = nu / (nu + x^2),
 
-and symmetry for x < 0.  Quantiles invert the CDF with Newton steps
-from Hill's (1970, CACM Algorithm 396) start value, safeguarded by
-bisection; below nu = 1, where Hill's expansion does not hold, a
-doubling bracket gives the start instead.  Plain floats throughout; no
+which gives every tail probability directly, and T_nu(x) = 1 - T_nu(-x)
+for x > 0.  Quantiles invert the same lower tail T_nu(-|x|) with Newton
+steps from Hill's (1970, CACM Algorithm 396) start value, safeguarded by
+bisection; below nu = 1, where Hill's expansion does not hold, the
+t's power-law tail gives the start instead.  Plain floats throughout; no
 external dependencies.
 """
 
@@ -175,7 +176,8 @@ def _hill_start(tail: float, nu: float) -> float:
 def t_quantile(p: float, nu: float) -> float:
     """Inverse t CDF: the x with t_cdf(x, nu) = p.
 
-    Antisymmetric about p = 1/2: t_quantile(1 - p) = -t_quantile(p).
+    Solves T_nu(-|x|) = min(p, 1 - p), so tail probabilities keep their
+    relative accuracy, and mirrors: t_quantile(1 - p) = -t_quantile(p).
     Raises DomainError when |x| is so large that x^2 overflows, where
     t_cdf cannot tell x from infinity.
     """
@@ -184,40 +186,42 @@ def t_quantile(p: float, nu: float) -> float:
         raise DomainError(f"quantile is unbounded at p={p}; need 0 < p < 1")
     if p == 0.5:
         return 0.0
-    # Solve on the upper half only, mirror afterwards.
     tail = min(p, 1.0 - p)
-    target = 1.0 - tail
-    # The t density is f(x) = exp(ln_f0 - (nu + 1)/2 ln(1 + x^2/nu)).
-    ln_f0 = -_log_beta(0.5 * nu, 0.5) - 0.5 * math.log(nu)
-    lo, hi = 0.0, math.inf
+    ln_tail = math.log(tail)
+    ln_beta = _log_beta(0.5 * nu, 0.5)
+    # The t density is exp(ln_f0 - (nu + 1)/2 ln(1 + x^2/nu)).
+    ln_f0 = -ln_beta - 0.5 * math.log(nu)
     if nu >= 1.0:
         x = _hill_start(tail, nu)
     else:
-        # Hill's expansion needs nu >= 1; bracket by doubling instead.
-        hi = 1.0
-        while t_cdf(hi, nu) < target:
-            lo, hi = hi, min(2.0 * hi, _X_SQ_MAX)
-            if lo == hi:
-                break  # even t_cdf(_X_SQ_MAX) is below target
-        x = 0.5 * (lo + hi)
+        # Hill's expansion needs nu >= 1.  Below it, start from the power
+        # law T_nu(-x) ~ nu^(nu/2 - 1) x^-nu / B(nu/2, 1/2), which lies
+        # above the tail for every x > 0, so x0 is above the root.
+        ln_x = ((0.5 * nu - 1.0) * math.log(nu) - ln_beta - ln_tail) / nu
+        x = math.exp(ln_x) if ln_x < math.log(_X_SQ_MAX) else math.inf
     if not x < _X_SQ_MAX:
         raise DomainError(f"quantile beyond the float range at nu={nu}, p={p}")
-    # Newton with a bisection safeguard.  Concavity of the CDF on x > 0
-    # keeps steps from below short of the root; the first step from above
-    # overshoots and closes the bracket.
+    # Newton on f(x) = tail - T_nu(-x), which rises and is concave on
+    # x > 0, with a bisection safeguard: steps from below stop short of
+    # the root; the first step from above overshoots and closes the
+    # bracket.  f and f' are scaled by 1 / tail, so the step stays finite
+    # where the density itself underflows.
+    lo, hi = 0.0, math.inf
     best_f, best_x, best_step = math.inf, x, 0.0
     prev_f = math.inf
     for _ in range(128):
-        f = t_cdf(x, nu) - target
-        dens = math.exp(ln_f0 - 0.5 * (nu + 1.0) * math.log1p(x * x / nu))
-        step = f / dens if dens > 0.0 else 0.0
+        f = tail - t_cdf(-x, nu)
+        dens = math.exp(ln_f0 - 0.5 * (nu + 1.0) * math.log1p(x * x / nu) - ln_tail)
+        step = f / tail / dens if dens > 0.0 else 0.0
         if abs(f) < best_f:
             best_f, best_x, best_step = abs(f), x, step
         halved = abs(f) <= 0.5 * prev_f
-        # Converged, or near the root a Newton step failed to halve |f|, so
-        # t_cdf's own rounding is the limit: finish with the Newton step
-        # from the best point seen, kept inside the bracket.
-        if abs(f) <= 1e-15 or (not halved and abs(f) < 1e-8):
+        # Converged, or near the root a Newton step failed to halve |f|
+        # or is below x's rounding, so t_cdf's own rounding is the limit:
+        # finish with the Newton step from the best point seen, kept
+        # inside the bracket.
+        stuck = (not halved and abs(f) < 1e-8 * tail) or (step and x - step == x)
+        if abs(f) <= 1e-12 * tail or stuck:
             x = min(max(best_x - best_step, lo), hi)
             break
         if f > 0.0:

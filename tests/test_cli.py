@@ -289,6 +289,7 @@ class TestExitCodes:
         ])
         assert (code, out) == (3, "")
         assert err.startswith("solver failure:")
+        assert "bracket [" in err and "residual" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -431,6 +432,7 @@ class TestQest:
         assert "measure solo dropped" in err
         # the solo cell has 2 observations; only its measure was dropped
         assert "< 2" not in err
+        assert err.count("skipping degenerate cell") == 1
         assert "warning: skipping degenerate cell: cell ('anchoring', 'lab3')" in err
         assert "UserWarning" not in err and ".py:" not in err
 

@@ -146,6 +146,12 @@ class TestRuleOfThumb:
             THUMB_P_NU40, abs=1e-14
         )
 
+    def test_deep_tail_threshold(self):
+        # scipy.special.stdtr(200, -THUMB_RATIO * stdtrit(200, 1 - 1e-4)), frozen
+        assert rule_of_thumb(1e-4, 200.0).p_threshold == pytest.approx(
+            3.378850391858275e-19, rel=1e-12, abs=0.0
+        )
+
     def test_alpha_validation(self):
         with pytest.raises(DomainError):
             rule_of_thumb(0.5, 10.0)

@@ -86,6 +86,15 @@ class TestSignificance:
         t1 = t_quantile(0.95, 19) * math.sqrt(2.0)
         assert dist_p_value(t1, 19, 20, null) == pytest.approx(0.05, abs=1e-12)
 
+    def test_deep_tail_p_values(self):
+        # scipy.special.stdtr(nu, -|t1| / sqrt(1 + qN)), frozen
+        assert dist_p_value(200.0, 19, 20, DistributionalNull(0.5)) == pytest.approx(
+            1.8078557252532705e-23, rel=1e-12, abs=0.0
+        )
+        assert dist_p_value(-300.0, 9, 10, DistributionalNull(0.05)) == pytest.approx(
+            8.014819197062447e-19, rel=1e-12, abs=0.0
+        )
+
     def test_p_value_sign_symmetric(self):
         null = DistributionalNull(0.1)
         assert dist_p_value(2.2, 19, 20, null) == dist_p_value(-2.2, 19, 20, null)

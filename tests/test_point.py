@@ -37,6 +37,13 @@ def test_two_sided_doubles_and_caps():
     assert point_p_value(0.01, 3, 2, two_sided=True) <= 1.0
 
 
+def test_deep_tail_p_value():
+    # scipy.special.stdtr(19, -40.0), frozen; 1 - T_nu(40) cancels to 0
+    assert point_p_value(40.0 / math.sqrt(20), 20, 19) == pytest.approx(
+        4.153878599669217e-20, rel=1e-12, abs=0.0
+    )
+
+
 def test_sign_does_not_matter():
     assert point_p_value(-1.3, 12, 11) == point_p_value(1.3, 12, 11)
 
@@ -106,6 +113,14 @@ class TestPowerReplicationEstimate:
         assert power_replication_estimate(0.0, 0.05, 40) == pytest.approx(
             POWER_AT_NULL, abs=1e-11
         )
+
+    def test_deep_tail(self):
+        # scipy.special.ndtr((t1 - t_a) / sqrt(1 + t_a^2 / 80)) with
+        # t_a = scipy.special.stdtrit(40, 0.05), frozen
+        for t1, expected in [(-15.0, 1.972634836958648e-39), (-30.0, 1.013563145681e-170)]:
+            assert power_replication_estimate(t1, 0.05, 40) == pytest.approx(
+                expected, rel=1e-11, abs=0.0
+            )
 
     def test_upper_tail_variant_is_stricter(self):
         lower = power_replication_estimate(0.0, 0.05, 40)

@@ -198,6 +198,21 @@ class TestTQuantile:
             for p, x in zip(T_PPF_PS, expected):
                 assert t_quantile(p, nu) == pytest.approx(x, rel=rel), (p, nu)
 
+    def test_frozen_deep_tails(self):
+        # Roots of scipy.stats.t.logcdf(x, nu) = ln p, frozen.  At nu = 3
+        # and 3.25 scipy.special.stdtrit is off (by 50% and 33%), so each
+        # value is stdtrit refined by Newton steps on logcdf.
+        for p, nu, x in [
+            (1e-20, 19.0, -43.14710122704122),
+            (1e-100, 1e3, -23.930617087826448),
+            (1e-200, 1.5, -1.1245005997832137e133),
+            (1e-200, 3.0, -4.7952757204692816e66),
+            (5e-243, 3.25, -3.966658578234618e74),
+            (1e-20, 0.5, -1.0284911563163399e39),
+            (1e-20, 0.2, -7.508285934582922e97),
+        ]:
+            assert t_quantile(p, nu) == pytest.approx(x, rel=1e-13), (p, nu)
+
     def test_cdf_calls_per_quantile(self, monkeypatch):
         calls = []
         cdf = special.t_cdf
@@ -209,14 +224,17 @@ class TestTQuantile:
         monkeypatch.setattr(special, "t_cdf", counted)
         cases = [
             (p, nu)
-            for nu in [1.5, 3.0, 19.0, 100.0, 1e3, 1e4, 4e4]
-            for p in [0.9, 0.95, 0.99, 0.995, 1.0 - 1e-6]
+            for nu in [0.05, 0.2, 0.5, 1.5, 3.0, 19.0, 100.0, 1e3, 1e4, 4e4]
+            for p in [0.9, 0.95, 0.99, 0.995, 1.0 - 1e-6, 1e-20, 1e-200]
         ]
-        # t_cdf's rounding at large nu keeps |f| above 1e-15 here.
+        # t_cdf's rounding at large nu sits near the stop test here.
         cases.append((0.9552016331372183, 68587.76053953539))
         for p, nu in cases:
             calls.clear()
-            t_quantile(p, nu)
+            try:
+                t_quantile(p, nu)
+            except DomainError:  # below nu = 1 the far tails pass 1e154
+                assert nu < 1.0 and p < 1e-16 and not calls, (p, nu)
             assert len(calls) <= 5, (p, nu, len(calls))
 
     def test_solver_failure_names_bracket_and_residual(self, monkeypatch):
