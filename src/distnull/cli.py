@@ -278,14 +278,12 @@ def _cmd_qest(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int
     groups = varratio.load_groups(args.groups) if args.groups else None
     if args.sites is not None:
         dataset = varratio.restrict(dataset, _site_predicate(args.sites))
-    # summarize and all_cells warn about the same cells; print each once.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rows = varratio.summarize(dataset, groups, ddof=args.ddof)
-        if args.cells_out or args.hist_out:
-            cells = varratio.all_cells(dataset, ddof=args.ddof)
-    for message in dict.fromkeys(str(w.message) for w in caught):
-        print(f"warning: {message}", file=sys.stderr)
+        table = varratio._cell_table(dataset, dataset.measures, args.ddof)
+        rows = varratio._pool(table, groups)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     columns = ["group", "datapoints", "mean_q", "q025", "q975"]
     row_dicts = [
         {
@@ -299,6 +297,7 @@ def _cmd_qest(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int
     ]
     _emit_rows("qest", columns, row_dicts, fmt)
 
+    cells = [cell for per_measure in table.values() for cell in per_measure]
     if args.cells_out:
         varratio.write_cells_csv(cells, args.cells_out)
     if args.hist_out:

@@ -121,9 +121,9 @@ def _t_crit_u(a: float, u: float) -> float:
 
 
 def _t_rep_u(a: float, b: float, u: float) -> float:
-    return (1.0 + 1.0 / u) * (
-        a * math.sqrt(1.0 + u) + b * math.sqrt((1.0 + 2.0 * u) / (1.0 + u))
-    )
+    # (1 + 1/u) (a sqrt(1 + u) + b sqrt((1 + 2u) / (1 + u))), regrouped so
+    # that no factor overflows unless t_rep itself does, at either end of u.
+    return math.sqrt(1.0 + u) * ((a * (1.0 + u) + b * math.sqrt(1.0 + 2.0 * u)) / u)
 
 
 def _r_u(a: float, b: float, u: float) -> float:
@@ -165,8 +165,9 @@ def r_curve(criteria: Criteria, nu: float, n: int, q: np.ndarray) -> np.ndarray:
         raise DomainError("all q values must be positive and finite")
     a, b = _quantiles(criteria, nu)
     u = q * _check_n(n)
-    crit = a * np.sqrt(1.0 + u)
-    rep = (1.0 + 1.0 / u) * (crit + b * np.sqrt((1.0 + 2.0 * u) / (1.0 + u)))
+    root = np.sqrt(1.0 + u)
+    crit = a * root
+    rep = root * ((a * (1.0 + u) + b * np.sqrt(1.0 + 2.0 * u)) / u)
     return np.maximum(rep, crit)
 
 

@@ -74,11 +74,16 @@ def _betacf(a: float, b: float, x: float) -> float:
 
 
 def _log_beta(a: float, b: float) -> float:
-    # ln B(a, b); lgamma overflows once a or b passes about 2.5e305.
+    # ln B(a, b); lgamma overflows once a or b passes about 2.5e305, and
+    # has a pole at 0, where nu / 2 lands for nu = 5e-324.
     try:
         return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     except OverflowError:
         raise DomainError(f"ln B(a, b) overflows at a={a}, b={b}") from None
+    except ValueError:
+        raise DomainError(
+            f"ln B(a, b) is infinite at a={a}, b={b}: a shape underflowed to 0"
+        ) from None
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:

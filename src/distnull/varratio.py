@@ -333,29 +333,28 @@ def cell_q(
     return _cell(measure, site, values, between, ddof)
 
 
-def _measure_cells(
-    dataset: MultiSiteDataset, measure: str, ddof: int
-) -> list[VarianceRatioCell]:
-    # One between-site variance serves every cell of the measure.  Only
-    # all_cells and summarize call this, directly, so stacklevel=3 points
-    # degenerate-cell warnings at their caller.
-    between = _variance(dataset.site_means(measure), ddof)
-    cells = []
-    for site in dataset.sites(measure):
-        try:
-            cells.append(_cell(measure, site, dataset.values(measure, site), between, ddof))
-        except DegenerateSampleError as exc:
-            warnings.warn(f"skipping degenerate cell: {exc}", stacklevel=3)
-    return cells
+def _cell_table(
+    dataset: MultiSiteDataset, measures: Iterable[str], ddof: int
+) -> dict[str, list[VarianceRatioCell]]:
+    # Every cell once, with one between-site variance per measure.  all_cells
+    # and summarize call this directly, so stacklevel=3 names their caller.
+    table: dict[str, list[VarianceRatioCell]] = {}
+    for measure in measures:
+        between = _variance(dataset.site_means(measure), ddof)
+        cells = table[measure] = []
+        for site in dataset.sites(measure):
+            try:
+                cells.append(_cell(measure, site, dataset.values(measure, site), between, ddof))
+            except DegenerateSampleError as exc:
+                warnings.warn(f"skipping degenerate cell: {exc}", stacklevel=3)
+    return table
 
 
 def all_cells(dataset: MultiSiteDataset, ddof: int = 1) -> list[VarianceRatioCell]:
     """Every computable cell ratio; degenerate cells are skipped with a warning."""
     _check_ddof(ddof)
-    out = []
-    for measure in dataset.measures:
-        out.extend(_measure_cells(dataset, measure, ddof))
-    return out
+    table = _cell_table(dataset, dataset.measures, ddof)
+    return [cell for cells in table.values() for cell in cells]
 
 
 def restrict(
@@ -435,36 +434,38 @@ def summarize(
     _check_ddof(ddof)
     if site_filter is not None:
         dataset = restrict(dataset, site_filter)
-    if groups is None:
-        groups = [MeasureGroupSpec(group=m, measures=(m,)) for m in dataset.measures]
-    _check_disjoint(groups)
+    measures = dataset.measures
+    if groups is not None:
+        _check_disjoint(groups)
+        measures = [m for spec in groups for m in spec.measures if m in measures]
+    return _pool(_cell_table(dataset, measures, ddof), groups)
 
-    available = set(dataset.measures)
+
+def _pool(
+    table: dict[str, list[VarianceRatioCell]], groups: list[MeasureGroupSpec] | None
+) -> list[GroupSummary]:
+    # summarize's rows from a table holding each dataset measure the groups name;
+    # summarize calls this directly, so stacklevel=3 names its caller.
+    if groups is None:
+        groups = [MeasureGroupSpec(group=m, measures=(m,)) for m in table]
     rows: list[GroupSummary] = []
     pooled_by_label: dict[str, list[float]] = {}
     pooled_all: list[float] = []
-    n_nonempty = 0
     for spec in groups:
-        missing = [m for m in spec.measures if m not in available]
-        for measure in missing:
+        for measure in (m for m in spec.measures if m not in table):
             warnings.warn(
-                f"group {spec.group!r}: measure {measure!r} not in dataset",
-                stacklevel=2,
+                f"group {spec.group!r}: measure {measure!r} not in dataset", stacklevel=3
             )
-        qs = []
-        for measure in spec.measures:
-            if measure in available:
-                qs.extend(cell.q for cell in _measure_cells(dataset, measure, ddof))
+        qs = [cell.q for m in spec.measures for cell in table.get(m, ())]
         if not qs:
-            warnings.warn(f"group {spec.group!r} is empty; row omitted", stacklevel=2)
+            warnings.warn(f"group {spec.group!r} is empty; row omitted", stacklevel=3)
             continue
-        n_nonempty += 1
         rows.append(_summary_row(spec.group, qs))
         if spec.set_label is not None:
             pooled_by_label.setdefault(spec.set_label, []).extend(qs)
         pooled_all.extend(qs)
-    for label, qs in pooled_by_label.items():
-        rows.append(_summary_row(f"all {label}", qs))
+    n_nonempty = len(rows)
+    rows.extend(_summary_row(f"all {label}", qs) for label, qs in pooled_by_label.items())
     if n_nonempty > 1:
         rows.append(_summary_row("all", pooled_all))
     return rows

@@ -12,6 +12,7 @@ from distnull.criterion import Criteria, q_interval, r_crit
 from distnull.distributional import DistributionalNull, replication_probability
 from distnull.errors import SolverFailure
 from distnull.special import t_quantile
+from distnull.varratio import MultiSiteDataset
 
 DATA_CSV = """\
 site,measure,value
@@ -291,6 +292,18 @@ class TestExitCodes:
         assert err.startswith("solver failure:")
         assert "bracket [" in err and "residual" in err
 
+    def test_subnormal_left_root(self, capsys):
+        # a + b is about 2.3e-15, so the left root u ~ (a + b) / |t| is
+        # about 2.3e-315, where 1 + 1/u would overflow
+        beta = 0.3000000000000008
+        doc, _ = run_json(capsys, [
+            "range", "--t", "1e300", "--nu", "19", "--n", "20",
+            "--alpha", "0.3", "--beta", repr(beta),
+        ])
+        assert doc["result"]["status"] == "ok"
+        expected = (t_quantile(1.0 - 0.3, 19) + t_quantile(beta, 19)) / (1e300 * 20)
+        assert doc["result"]["q1"] == pytest.approx(expected, rel=1e-6)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -338,6 +351,18 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "overflows" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["replicate", "--t", "3", "--nu", "5e-324", "--n", "2", "--q", "2", "--alpha", "1e-9"],
+            ["thumb", "--nu", "5e-324"],
+        ],
+    )
+    def test_nu_whose_half_underflows(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "underflowed" in err
 
     def test_version(self, capsys):
         code, out, err = run(capsys, ["--version"])
@@ -435,6 +460,32 @@ class TestQest:
         assert err.count("skipping degenerate cell") == 1
         assert "warning: skipping degenerate cell: cell ('anchoring', 'lab3')" in err
         assert "UserWarning" not in err and ".py:" not in err
+
+    def test_each_cell_is_computed_once(self, capsys, tmp_path, data_path, monkeypatch):
+        calls = []
+        site_means = MultiSiteDataset.site_means
+
+        def counted(self, measure):
+            calls.append(measure)
+            return site_means(self, measure)
+
+        monkeypatch.setattr(MultiSiteDataset, "site_means", counted)
+        argv = ["qest", "--data", data_path, "--cells-out", str(tmp_path / "cells.csv"),
+                "--hist-out", str(tmp_path / "hist.csv")]
+        code, _, _ = run(capsys, argv)
+        assert code == 0
+        assert calls == ["anchoring", "gains"]
+
+    def test_ungrouped_degenerate_cell_reported_once(self, capsys, tmp_path, groups_path):
+        path = tmp_path / "other.csv"
+        path.write_text(
+            DATA_CSV + "lab1,other,1\nlab1,other,2\nlab2,other,5\nlab2,other,5\n",
+            encoding="utf-8",
+        )
+        code, _, err = run(capsys, ["qest", "--data", str(path), "--groups", groups_path])
+        assert code == 0
+        assert err.count("skipping degenerate cell") == 1
+        assert "warning: skipping degenerate cell: cell ('other', 'lab2')" in err
 
     def test_missing_data_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["qest", "--data", str(tmp_path / "nope.csv")])

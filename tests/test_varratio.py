@@ -497,3 +497,17 @@ def test_degenerate_cell_warnings_name_the_caller():
         with pytest.warns(UserWarning, match="degenerate") as record:
             run(dataset)
         assert record[0].filename == __file__
+    # the group-level warnings too: a missing measure and an empty group
+    groups = [
+        MeasureGroupSpec(group="g", measures=("m", "ghost")),
+        MeasureGroupSpec(group="void", measures=("absent",)),
+    ]
+    with pytest.warns(UserWarning) as record:
+        summarize(dataset, groups)
+    assert sorted(str(w.message).split(":")[0] for w in record) == [
+        "group 'g'",
+        "group 'void'",
+        "group 'void' is empty; row omitted",
+        "skipping degenerate cell",
+    ]
+    assert all(w.filename == __file__ for w in record)
