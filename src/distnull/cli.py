@@ -326,7 +326,6 @@ def _cmd_simulate(args: argparse.Namespace, config: dict[str, str], fmt: str) ->
         design=design,
         n=n_values[0],
         q_true=args.q_true,
-        sigma=args.sigma,
         trials=trials,
         seed=seed,
     )
@@ -447,7 +446,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--alpha", type=float, default=None)
     p_sim.add_argument("--trials", type=int, default=None)
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--sigma", type=float, default=1.0)
     p_sim.add_argument(
         "--two-sided",
         dest="two_sided",

@@ -18,7 +18,8 @@ class DomainError(DistnullError, ValueError):
 
 
 class DegenerateSampleError(DomainError):
-    """A sample has zero spread, so no scale-based statistic is defined."""
+    """A sample's spread is zero or beyond float range, so no scale-based
+    statistic is defined."""
 
 
 class DataFormatError(DistnullError):

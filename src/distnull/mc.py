@@ -4,9 +4,9 @@ Simulates the generative model behind the distributional null: each
 trial draws a per-experiment mean mu ~ N(0, q sigma^2) (independently
 per group for paired and two-sample designs), then data around it, then
 runs the test.  Rather than materializing raw samples, trials draw the
-exact sampling distributions of the sufficient statistics: the sample
-mean is normal around mu and the sample variance is a scaled chi-square,
-which is the same joint law at a fraction of the cost.
+standardized statistic: a normal over the root of an independent
+chi^2_nu / nu, the same law as the raw data's t at a fraction of the
+cost.  sigma cancels from it; the design enters only through nu and N.
 
 Reproducibility: trials are processed in fixed-size chunks and each
 chunk gets its own counter-based generator derived from (seed, chunk
@@ -57,12 +57,11 @@ REPLICATION_VARIANTS = ("shared_s", "independent_s")
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation scenario; ``sigma`` is arbitrary and must not matter."""
+    """One scenario; trials draw the standardized t, so only nu and n carry the design."""
 
     design: ExperimentDesign
     n: int
     q_true: float
-    sigma: float = 1.0
     trials: int = 100_000
     seed: int = 0
 
@@ -74,8 +73,6 @@ class SimConfig:
             raise DomainError(
                 f"q_true * n must be finite, got {self.q_true} * {self.n}"
             )
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
         if not isinstance(self.trials, int) or self.trials < 1:
             raise DomainError(f"trials must be a positive integer, got {self.trials!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
@@ -89,30 +86,6 @@ class CalibrationReport:
     rate: float
     mc_se: float
     trials: int
-
-
-def _design_params(cfg: SimConfig) -> tuple[int, float, float, float]:
-    """(nu, se, s_sigma, k) for the design.
-
-    The observed statistic is t = M / (k S) where M is the mean estimate
-    with standard error se, and S estimates s_sigma (sd of one-sample
-    data, of pair differences, or the pooled per-group sd) via
-    S^2 ~ s_sigma^2 chi^2_nu / nu.  In all three designs se = k s_sigma
-    and the effect prior has sd sqrt(qN) * se, which is what makes
-    t / sqrt(1 + qN) exactly t-distributed.
-    """
-    nu = int(degrees_of_freedom(cfg.design, cfg.n))
-    if cfg.design is ExperimentDesign.TWO_SAMPLE_EQUAL_N:
-        s_sigma = cfg.sigma
-        k = math.sqrt(2.0 / cfg.n)
-    elif cfg.design is ExperimentDesign.PAIRED:
-        # differences of two equal-variance arms
-        s_sigma = cfg.sigma * math.sqrt(2.0)
-        k = 1.0 / math.sqrt(cfg.n)
-    else:
-        s_sigma = cfg.sigma
-        k = 1.0 / math.sqrt(cfg.n)
-    return nu, k * s_sigma, s_sigma, k
 
 
 def _chi2_over_nu(rng: np.random.Generator, nu: int, size: int) -> np.ndarray:
@@ -206,16 +179,19 @@ def simulate_fpr(
     restriction supplies the other factor of two.
     """
     _check_alpha(alpha)
-    nu, se, s_sigma, k = _design_params(cfg)
+    nu = int(degrees_of_freedom(cfg.design, cfg.n))
     tail = 0.5 * alpha if two_sided else alpha
     crit = dist_t_crit(tail, nu, cfg.n, DistributionalNull(q_test))
-    mu_sd = se * math.sqrt(cfg.q_true * cfg.n)
+    mu_sd = math.sqrt(cfg.q_true * cfg.n)
 
     def chunk_hits(rng: np.random.Generator, size: int) -> int:
-        mu = mu_sd * rng.standard_normal(size)
-        m = mu + se * rng.standard_normal(size)
-        s = s_sigma * np.sqrt(_chi2_over_nu(rng, nu, size))
-        t = m / (k * s)
+        # The raw t = M / (k S): M is the mean estimate with standard error se,
+        # S^2 ~ s_sigma^2 chi^2_nu / nu estimates s_sigma (sd of one-sample data,
+        # of pair differences, or pooled per group).  In all three designs
+        # se = k s_sigma and the prior sd is sqrt(qN) se, so M and k S over se
+        # give this draw: the same law, with no scale left in it.
+        m = mu_sd * rng.standard_normal(size) + rng.standard_normal(size)
+        t = m / np.sqrt(_chi2_over_nu(rng, nu, size))
         return int(np.count_nonzero(np.abs(t) >= crit))
 
     return _rate(cfg, chunk_hits)
@@ -252,16 +228,17 @@ def simulate_replication(
 ) -> CalibrationReport:
     """Rate at which an exact repeat is significant in the original direction.
 
-    Each trial reconstructs the first experiment at the given t1: draw
-    its sample sd S, back out the observed mean M1 = t1 * k * S, draw
-    the true mean from the posterior given M1 (with q = cfg.q_true),
+    Each trial reconstructs the first experiment at the given t1, in
+    units of the mean's standard error: draw its standardized sample sd
+    s1 = sqrt(chi^2_nu / nu), back out the observed mean t1 * s1, draw
+    the true mean from the posterior given it (with q = cfg.q_true),
     then draw the repeat's mean and test it at the single-tail critical
     value with the sign restricted to match t1.
 
     ``variant="shared_s"`` scales the repeat statistic by the first
-    experiment's S, the substitution under which the closed-form
+    experiment's s1, the substitution under which the closed-form
     replication probability is exact; ``"independent_s"`` draws a fresh
-    S2 for the repeat's denominator, the fully independent model the
+    s2 for the repeat's denominator, the fully independent model the
     substitution approximates.  No closed form is claimed for the
     latter; the point of measuring it is to see the gap.
     """
@@ -272,24 +249,20 @@ def simulate_replication(
         raise DomainError(
             f"variant must be one of {REPLICATION_VARIANTS}, got {variant!r}"
         )
-    nu, se, s_sigma, k = _design_params(cfg)
+    nu = int(degrees_of_freedom(cfg.design, cfg.n))
     null = DistributionalNull(cfg.q_true)
     crit = dist_t_crit(alpha, nu, cfg.n, null)
     qn = cfg.q_true * cfg.n
     shrinkage = qn / (1.0 + qn)
-    post_sd = math.sqrt(shrinkage) * se
+    post_sd = math.sqrt(shrinkage)
     sign = 1.0 if t1 >= 0.0 else -1.0
 
     def chunk_hits(rng: np.random.Generator, size: int) -> int:
-        s1 = s_sigma * np.sqrt(_chi2_over_nu(rng, nu, size))
-        m1 = t1 * k * s1
-        mu = shrinkage * m1 + post_sd * rng.standard_normal(size)
-        m2 = mu + se * rng.standard_normal(size)
-        if variant == "shared_s":
-            denom = k * s1
-        else:
-            denom = k * s_sigma * np.sqrt(_chi2_over_nu(rng, nu, size))
-        t2 = m2 / denom
-        return int(np.count_nonzero(sign * t2 >= crit))
+        # everything in units of se, as in simulate_fpr
+        s1 = np.sqrt(_chi2_over_nu(rng, nu, size))
+        mu = shrinkage * t1 * s1 + post_sd * rng.standard_normal(size)
+        m2 = mu + rng.standard_normal(size)
+        denom = s1 if variant == "shared_s" else np.sqrt(_chi2_over_nu(rng, nu, size))
+        return int(np.count_nonzero(sign * m2 / denom >= crit))
 
     return _rate(cfg, chunk_hits)

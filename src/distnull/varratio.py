@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 CSV_HEADER = ("site", "measure", "value")
+# write_histogram_csv refuses a q that needs more bins than this.
+_MAX_BINS = 10**6
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,8 @@ class MultiSiteDataset:
 
     def site_means(self, measure: str) -> np.ndarray:
         sites = self._lookup(measure)
-        return np.array([cell.mean() for cell in sites.values()])
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan; _cell rejects it
+            return np.array([cell.mean() for cell in sites.values()])
 
     def is_empty(self) -> bool:
         return not self._cells
@@ -281,7 +284,8 @@ class GroupSummary:
 
 
 def _variance(values: np.ndarray, ddof: int) -> float:
-    return float(np.var(values, ddof=ddof))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan; _cell rejects it
+        return float(np.var(values, ddof=ddof))
 
 
 def _cell(
@@ -292,12 +296,18 @@ def _cell(
         raise DegenerateSampleError(
             f"cell ({measure!r}, {site!r}) has zero within-site variance"
         )
+    q = between / within
+    if not (math.isfinite(within) and math.isfinite(between) and math.isfinite(q)):
+        raise DegenerateSampleError(
+            f"cell ({measure!r}, {site!r}) is beyond float range: within-site "
+            f"variance {within!r}, between-site variance {between!r}, q {q!r}"
+        )
     return VarianceRatioCell(
         measure=measure,
         site=site,
         within_var=within,
         between_var=between,
-        q=between / within,
+        q=q,
     )
 
 
@@ -325,7 +335,8 @@ def cell_q(
     Raises
     ------
     DegenerateSampleError
-        If the cell's values are all equal (within_var = 0, q undefined).
+        If the cell's values are all equal (within_var = 0, q undefined),
+        or a variance or q overflows a float.
     """
     _check_ddof(ddof)
     values = dataset.values(measure, site)
@@ -381,10 +392,14 @@ def restrict(
 def _summary_row(group: str, qs: list[float]) -> GroupSummary:
     arr = np.asarray(qs)
     lo, hi = np.quantile(arr, [0.025, 0.975])
+    with np.errstate(over="ignore"):
+        mean = float(arr.mean())
+    if not math.isfinite(mean):  # the sum overflowed; the mean is at most max(q)
+        mean = float(np.sum(arr / arr.size))
     return GroupSummary(
         group=group,
         datapoints=len(qs),
-        mean_q=float(arr.mean()),
+        mean_q=mean,
         q_lo=float(lo),
         q_hi=float(hi),
     )
@@ -549,12 +564,18 @@ def write_histogram_csv(
     if not (bin_width > 0.0 and math.isfinite(bin_width)):
         raise DomainError(f"bin_width must be positive, got {bin_width}")
     values = np.asarray(list(q_values), dtype=float)
+    top = float(values.max()) / bin_width if values.size else 0.0
+    if not top <= _MAX_BINS:
+        raise DomainError(
+            f"q up to {float(values.max())!r} needs more than {_MAX_BINS} histogram "
+            f"bins of width {bin_width!r}"
+        )
     with _opened(dest, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_lo", "bin_hi", "count"])
         if values.size == 0:
             return
-        n_bins = max(1, int(math.ceil(float(values.max()) / bin_width)))
+        n_bins = max(1, math.ceil(top))
         edges = np.arange(n_bins + 1) * bin_width
         counts, _ = np.histogram(values, bins=edges)
         for i, count in enumerate(counts):

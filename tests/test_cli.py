@@ -282,8 +282,8 @@ class TestExitCodes:
         assert doc["result"]["q1"] == pytest.approx(expected, rel=1e-9)
 
     def test_left_root_below_float_range_exits_3(self, capsys):
-        # a + b is about 8e-16 here, so the left bracket (a + b) / (2|t|)
-        # underflows to 0, and no float u has R(u) = |t|
+        # a + b is about 2.3e-15 here, so the left bracket (a + b) / (2|t|)
+        # is clamped to 5e-324 (stderr names it), and no float u has R(u) = |t|
         code, out, err = run(capsys, [
             "range", "--t", "1.7e308", "--nu", "19", "--n", "20",
             "--alpha", "0.3", "--beta", "0.3000000000000008",
@@ -486,6 +486,58 @@ class TestQest:
         assert code == 0
         assert err.count("skipping degenerate cell") == 1
         assert "warning: skipping degenerate cell: cell ('other', 'lab2')" in err
+
+    @pytest.fixture
+    def overflow_run(self, capsys, tmp_path):
+        """qest over the given (site, value) rows of measure x, with both output files."""
+
+        def go(rows, *extra):
+            path = tmp_path / "huge.csv"
+            lines = [f"{site},x,{value}" for site, value in rows]
+            path.write_text("site,measure,value\n" + "\n".join(lines) + "\n", encoding="utf-8")
+            argv = ["qest", "--data", str(path), "--format", "csv", *extra]
+            code, out, err = run(capsys, argv)
+            assert "nan" not in out.lower() and "inf" not in out.lower()
+            assert "encountered" not in err  # numpy's own RuntimeWarning stays out
+            return code, list(csv.DictReader(io.StringIO(out))), err
+
+        return go
+
+    def test_overflowed_within_variance_is_not_a_q_of_0(self, overflow_run, tmp_path):
+        code, rows, err = overflow_run(
+            [("a", "1e308"), ("a", "-1e308"), ("b", "1"), ("b", "2")],
+            "--hist-out", str(tmp_path / "hist.csv"),
+        )
+        assert code == 0
+        assert "skipping degenerate cell: cell ('x', 'a') is beyond float range" in err
+        assert [(r["datapoints"], r["mean_q"]) for r in rows] == [("1", "2.25")]
+
+    def test_overflowed_between_variance_skips_every_cell(self, overflow_run, tmp_path):
+        hist = tmp_path / "hist.csv"
+        code, rows, err = overflow_run(
+            [("a", "1"), ("a", "1.0000000000000002"), ("b", "1e300"), ("b", "2e300")],
+            "--hist-out", str(hist), "--cells-out", str(tmp_path / "cells.csv"),
+        )
+        assert code == 0
+        assert rows == []
+        assert err.count("beyond float range") == 2
+        assert hist.read_text().splitlines() == ["bin_lo,bin_hi,count"]
+
+    def test_histogram_too_wide_exits_2(self, overflow_run, tmp_path):
+        # q is about 2.3e43: finite and printed, but 2.3e45 bins of width 0.01
+        code, rows, err = overflow_run(
+            [("a", "1"), ("a", "1.0000000000000002"), ("b", "1e6"), ("b", "2e6")],
+            "--hist-out", str(tmp_path / "hist.csv"),
+        )
+        assert code == 2
+        assert float(rows[0]["q975"]) == pytest.approx(2.2247238370991267e43, rel=1e-12)
+        assert err.startswith("error: q up to 2.28") and "histogram bins" in err
+
+    def test_mean_of_huge_ratios_is_finite(self, overflow_run):
+        rows = [(s, v) for s in "acd" for v in ("0", "1e-4")] + [("b", "1e150"), ("b", "2e150")]
+        code, out_rows, _ = overflow_run(rows)
+        assert code == 0
+        assert float(out_rows[0]["mean_q"]) == pytest.approx(8.4375e307, rel=1e-12)
 
     def test_missing_data_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["qest", "--data", str(tmp_path / "nope.csv")])

@@ -45,8 +45,6 @@ def test_config_validation():
         cfg(n=1)
     with pytest.raises(DomainError):
         cfg(q_true=-0.1)
-    with pytest.raises(DomainError):
-        cfg(sigma=0.0)
     with pytest.raises(DomainError, match="q_true \\* n"):
         cfg(q_true=1e307)  # finite q_true, but q*n overflows
     with pytest.raises(DomainError):
@@ -71,17 +69,6 @@ def test_trials_need_not_fill_whole_chunks():
         assert report.trials == trials
         expected_se = math.sqrt(report.rate * (1.0 - report.rate) / trials)
         assert report.mc_se == pytest.approx(expected_se, rel=1e-12)
-
-
-def test_sigma_scaling_is_exact_for_binary_scales():
-    # every draw scales linearly in sigma, so a power-of-two sigma gives
-    # bit-identical statistics
-    base = simulate_fpr(cfg(sigma=1.0), 0.05, 0.05)
-    scaled = simulate_fpr(cfg(sigma=4.0), 0.05, 0.05)
-    assert base == scaled
-    rep_base = simulate_replication(2.0, cfg(sigma=1.0), 0.05)
-    rep_scaled = simulate_replication(2.0, cfg(sigma=4.0), 0.05)
-    assert rep_base == rep_scaled
 
 
 def test_calibrated_when_q_test_matches_q_true():
@@ -153,7 +140,7 @@ class TestFrozenStreams:
     any change to a per-seed stream or to chunk scheduling shows."""
 
     FPR = [
-        # (trials, n, rate): one-sample, q_true 0.05 tested against 0, seed 3;
+        # (trials, n, rate): one-sample and paired, q_true 0.05 tested against 0, seed 3;
         # n = 20 sums squared normals (nu 19), n = 66 uses the gamma path (nu 65)
         (1, 20, 0.0),
         (1, 66, 1.0),
@@ -165,10 +152,19 @@ class TestFrozenStreams:
         (3 * 16_384 + 5, 66, 0.3381207152592713),
     ]
     REPLICATION = [
-        (20, "shared_s", 0.12487030820872749),
-        (20, "independent_s", 0.13414708574916082),
-        (66, "shared_s", 0.07604516325907842),
-        (66, "independent_s", 0.08361306072627403),
+        # (design, n, variant, rate) at t1 = 2, q_true 0.05, 16_385 trials, seed 3
+        (ExperimentDesign.ONE_SAMPLE, 20, "shared_s", 0.12487030820872749),
+        (ExperimentDesign.ONE_SAMPLE, 20, "independent_s", 0.13414708574916082),
+        (ExperimentDesign.ONE_SAMPLE, 66, "shared_s", 0.07604516325907842),
+        (ExperimentDesign.ONE_SAMPLE, 66, "independent_s", 0.08361306072627403),
+        (ExperimentDesign.PAIRED, 20, "shared_s", 0.12487030820872749),
+        (ExperimentDesign.PAIRED, 20, "independent_s", 0.13414708574916082),
+        (ExperimentDesign.PAIRED, 66, "shared_s", 0.07604516325907842),
+        (ExperimentDesign.PAIRED, 66, "independent_s", 0.08361306072627403),
+        (ExperimentDesign.TWO_SAMPLE_EQUAL_N, 20, "shared_s", 0.13207201708880073),
+        (ExperimentDesign.TWO_SAMPLE_EQUAL_N, 20, "independent_s", 0.13994507171193166),
+        (ExperimentDesign.TWO_SAMPLE_EQUAL_N, 66, "shared_s", 0.07915776624961855),
+        (ExperimentDesign.TWO_SAMPLE_EQUAL_N, 66, "independent_s", 0.08111077204760452),
     ]
 
     @pytest.fixture(params=[1, 2, 5], ids=lambda k: f"cpus{k}")
@@ -176,14 +172,20 @@ class TestFrozenStreams:
         monkeypatch.setattr(mc, "_usable_cpus", lambda: request.param)
 
     def test_fpr(self, cpus):
-        for trials, n, rate in self.FPR:
-            config = SimConfig(ExperimentDesign.ONE_SAMPLE, n, 0.05, trials=trials, seed=3)
-            assert simulate_fpr(config, 0.05, 0.0).rate == rate, (trials, n)
+        # a paired design at the same n has the same nu and N, so the same rates
+        for design in (ExperimentDesign.ONE_SAMPLE, ExperimentDesign.PAIRED):
+            for trials, n, rate in self.FPR:
+                config = SimConfig(design, n, 0.05, trials=trials, seed=3)
+                assert simulate_fpr(config, 0.05, 0.0).rate == rate, (design, trials, n)
 
     def test_replication(self, cpus):
-        for n, variant, rate in self.REPLICATION:
-            config = SimConfig(ExperimentDesign.ONE_SAMPLE, n, 0.05, trials=16_385, seed=3)
-            assert simulate_replication(2.0, config, 0.05, variant).rate == rate, (n, variant)
+        for design, n, variant, rate in self.REPLICATION:
+            config = SimConfig(design, n, 0.05, trials=16_385, seed=3)
+            assert simulate_replication(2.0, config, 0.05, variant).rate == rate, (
+                design,
+                n,
+                variant,
+            )
 
     def test_fpr_vs_n(self, cpus):
         base = SimConfig(ExperimentDesign.TWO_SAMPLE_EQUAL_N, 10, 0.05, trials=16_385, seed=3)
@@ -295,7 +297,7 @@ class TestAgainstRawObservations:
         t = x.mean(axis=1) / (x.std(axis=1, ddof=1) / math.sqrt(n))
         raw = self._rate(t, n - 1, n)
         fast = simulate_fpr(
-            SimConfig(ExperimentDesign.ONE_SAMPLE, n, self.Q, sigma=sigma, trials=TRIALS),
+            SimConfig(ExperimentDesign.ONE_SAMPLE, n, self.Q, trials=TRIALS),
             self.ALPHA,
             self.Q,
         )
@@ -313,7 +315,7 @@ class TestAgainstRawObservations:
         t = d.mean(axis=1) / (d.std(axis=1, ddof=1) / math.sqrt(n))
         raw = self._rate(t, n - 1, n)
         fast = simulate_fpr(
-            SimConfig(ExperimentDesign.PAIRED, n, self.Q, sigma=sigma, trials=TRIALS),
+            SimConfig(ExperimentDesign.PAIRED, n, self.Q, trials=TRIALS),
             self.ALPHA,
             self.Q,
         )
@@ -330,9 +332,7 @@ class TestAgainstRawObservations:
         t = (a.mean(axis=1) - b.mean(axis=1)) / (pooled * math.sqrt(2.0 / n))
         raw = self._rate(t, 2 * n - 2, n)
         fast = simulate_fpr(
-            SimConfig(
-                ExperimentDesign.TWO_SAMPLE_EQUAL_N, n, self.Q, sigma=sigma, trials=TRIALS
-            ),
+            SimConfig(ExperimentDesign.TWO_SAMPLE_EQUAL_N, n, self.Q, trials=TRIALS),
             self.ALPHA,
             self.Q,
         )

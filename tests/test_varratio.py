@@ -227,6 +227,32 @@ class TestCellQ:
             cells = all_cells(dataset)
         assert [c.site for c in cells] == ["A", "B", "C"]
 
+    def test_overflowed_variances_make_a_cell_unusable(self):
+        # site A's squared deviations overflow; site B's mean is 1e308, so the
+        # between-site variance is inf for every cell of measure "b"
+        rows = [rec("A", "a", v) for v in (1e308, -1e308)] + [
+            rec("B", "a", v) for v in (1.0, 2.0)
+        ]
+        rows += [rec("A", "b", v) for v in (1.0, 2.0)] + [
+            rec("B", "b", v) for v in (1e308, 1e308)
+        ]
+        dataset, _ = ingest(rows)
+        for measure, site in [("a", "A"), ("b", "A"), ("b", "B")]:
+            with pytest.raises(DegenerateSampleError, match="beyond float range"):
+                cell_q(dataset, measure, site)
+        with pytest.warns(UserWarning, match="beyond float range"):
+            cells = all_cells(dataset)
+        assert [(c.measure, c.site, c.q) for c in cells] == [("a", "B", 2.25)]
+
+    def test_ratio_overflow_makes_a_cell_unusable(self):
+        # within 5e-309 (subnormal), between about 5e299: q overflows
+        rows = [rec("A", "m", v) for v in (0.0, 1e-154)] + [
+            rec("B", "m", v) for v in (1e150, 2e150)
+        ]
+        dataset, _ = ingest(rows)
+        with pytest.raises(DegenerateSampleError, match="q inf"):
+            cell_q(dataset, "m", "A")
+
     def test_missing_cell(self):
         dataset, _ = ingest(hand_records())
         with pytest.raises(DomainError):
@@ -322,6 +348,17 @@ class TestSummarize:
         assert len(out) == 1
         assert out[0].datapoints == 1
         assert out[0].mean_q == out[0].q_lo == out[0].q_hi
+
+    def test_mean_of_huge_ratios_is_finite(self):
+        # three cells with q = 6.75e307 each: their sum overflows, the mean does not
+        rows = [rec(s, "m", v) for s in "ACD" for v in (0.0, 1e-4)] + [
+            rec("B", "m", v) for v in (1e150, 2e150)
+        ]
+        dataset, _ = ingest(rows)
+        (row,) = summarize(dataset)
+        q_a, q_b = cell_q(dataset, "m", "A").q, cell_q(dataset, "m", "B").q
+        assert row.datapoints == 4
+        assert row.mean_q == pytest.approx(0.75 * q_a + 0.25 * q_b, rel=1e-15)
 
     def test_missing_measure_warns(self):
         dataset, _ = ingest(hand_records())
@@ -460,6 +497,13 @@ class TestWriters:
     def test_histogram_bad_width(self):
         with pytest.raises(DomainError):
             write_histogram_csv([0.1], io.StringIO(), bin_width=0.0)
+
+    @pytest.mark.parametrize("top", [10_000.01, 2.3e43, math.inf, math.nan])
+    def test_histogram_refuses_too_many_bins(self, top):
+        buf = io.StringIO()
+        with pytest.raises(DomainError, match="histogram bins"):
+            write_histogram_csv([0.5, top], buf)
+        assert buf.getvalue() == ""
 
     def test_writers_accept_paths(self, tmp_path):
         dataset, _ = ingest(hand_records())
