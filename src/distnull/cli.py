@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -226,28 +227,13 @@ def _cmd_range(args: argparse.Namespace, config: dict[str, str], fmt: str) -> in
     q_ceiling = _setting(args, config, "q_ceiling", float)
     criteria = Criteria(alpha=alpha, beta=beta)
     outcome = q_interval(args.t, criteria, args.nu, args.n, q_ceiling)
-    base = {"alpha": alpha, "beta": beta, "n": args.n, "nu": args.nu, "t": args.t}
+    result = {"alpha": alpha, "beta": beta, "n": args.n, "nu": args.nu, "t": args.t}
     if isinstance(outcome, NoSolution):
-        thumb = rule_of_thumb(alpha, args.nu)
-        result = {
-            **base,
-            "status": "no_solution",
-            "r_min": outcome.r_min,
-            "q_at_min": outcome.q_at_min,
-            "thumb_t_bound": thumb.t_bound,
-            "thumb_p_threshold": thumb.p_threshold,
-        }
+        thumb = rule_of_thumb(alpha, args.nu)._asdict()
+        result.update(status="no_solution", **dataclasses.asdict(outcome))
+        result.update({f"thumb_{key}": value for key, value in thumb.items()})
     else:
-        result = {
-            **base,
-            "status": "ok",
-            "q1": outcome.q1,
-            "q2": outcome.q2,
-            "gamma": outcome.gamma,
-            "r_min": outcome.r_min,
-            "q_at_min": outcome.q_at_min,
-            "q2_censored": outcome.q2_censored,
-        }
+        result.update(status="ok", **dataclasses.asdict(outcome))
     _emit_result("range", result, fmt)
     return 0
 
@@ -378,12 +364,10 @@ def _cmd_simulate(args: argparse.Namespace, config: dict[str, str], fmt: str) ->
 
 def _cmd_thumb(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int:
     alpha = _setting(args, config, "alpha", float)
-    thumb = rule_of_thumb(alpha, args.nu)
     result = {
         "alpha": alpha,
         "nu": args.nu,
-        "t_bound": thumb.t_bound,
-        "p_threshold": thumb.p_threshold,
+        **rule_of_thumb(alpha, args.nu)._asdict(),
         "bound_over_quantile": THUMB_RATIO,
     }
     _emit_result("thumb", result, fmt)

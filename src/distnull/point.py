@@ -56,19 +56,14 @@ def _t_alpha(alpha: float, nu: float) -> float:
     return t_quantile(1.0 - alpha, nu)
 
 
-def point_p_value(z: float, n: int, nu: float, two_sided: bool = False) -> float:
+def point_p_value(z: float, n: int, nu: float) -> float:
     """Tail probability of the absolute statistic, T_nu(-|z| sqrt(N)).
 
-    The default is the one-tail probability of |z|, which is the quantity
-    the significance rule |z| >= z_crit corresponds to.  ``two_sided=True``
-    doubles it (capped at 1); that variant is an extension for readers who
-    expect the doubled convention, not part of the significance logic.
+    This is the one-tail probability of |z|, the quantity the
+    significance rule |z| >= z_crit corresponds to.
     """
     _check_n(n)
-    p = t_cdf(-abs(z) * math.sqrt(n), nu)
-    if two_sided:
-        p = min(1.0, 2.0 * p)
-    return p
+    return t_cdf(-abs(z) * math.sqrt(n), nu)
 
 
 def point_z_crit(alpha: float, n: int, nu: float) -> float:
@@ -92,9 +87,7 @@ def point_test(z: float, n: int, nu: float, alpha: float = 0.05) -> PointTestRep
     )
 
 
-def power_replication_estimate(
-    t1: float, alpha: float, nu: float, quantile_tail: str = "lower"
-) -> float:
+def power_replication_estimate(t1: float, alpha: float, nu: float) -> float:
     """Power-style estimate of replication probability, as found in the
     replication literature:
 
@@ -103,16 +96,10 @@ def power_replication_estimate(
     The lower-tail quantile T_nu^{-1}(alpha) is negative for alpha < 0.5,
     which makes the estimate implausibly high for null results (about 0.95
     at t1 = 0 with alpha = 0.05).  The formula is reproduced verbatim
-    anyway, for comparison; ``quantile_tail="upper"`` substitutes
-    T_nu^{-1}(1 - alpha), the convention a power calculation would use.
+    anyway, for comparison.
     """
     _check_alpha(alpha)
     if nu < 1.0:
         raise DomainError(f"need nu >= 1, got {nu}")
-    if quantile_tail == "lower":
-        t_a = t_quantile(alpha, nu)
-    elif quantile_tail == "upper":
-        t_a = _t_alpha(alpha, nu)
-    else:
-        raise DomainError(f"quantile_tail must be 'lower' or 'upper', got {quantile_tail!r}")
+    t_a = t_quantile(alpha, nu)
     return normal_cdf((t1 - t_a) / math.sqrt(1.0 + t_a * t_a / (2.0 * nu)))

@@ -43,13 +43,14 @@ __all__ = [
     "all_cells",
     "restrict",
     "summarize",
-    "write_summary_csv",
     "write_cells_csv",
     "write_histogram_csv",
 ]
 
 CSV_HEADER = ("site", "measure", "value")
-# write_histogram_csv refuses a q that needs more bins than this.
+# write_histogram_csv bins q this wide, and refuses a q that needs more
+# bins than _MAX_BINS.
+_BIN_WIDTH = 0.01
 _MAX_BINS = 10**6
 
 
@@ -529,17 +530,6 @@ def load_groups(source: str | TextIO) -> list[MeasureGroupSpec]:
     return groups
 
 
-def write_summary_csv(rows: list[GroupSummary], dest: str | TextIO) -> None:
-    """Summary rows as CSV: group,datapoints,mean_q,q025,q975."""
-    with _opened(dest, "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "datapoints", "mean_q", "q025", "q975"])
-        for row in rows:
-            writer.writerow(
-                [row.group, row.datapoints, repr(row.mean_q), repr(row.q_lo), repr(row.q_hi)]
-            )
-
-
 def write_cells_csv(cells: list[VarianceRatioCell], dest: str | TextIO) -> None:
     """Per-cell ratios as CSV: measure,site,within_var,between_var,q."""
     with _opened(dest, "w") as fh:
@@ -557,18 +547,14 @@ def write_cells_csv(cells: list[VarianceRatioCell], dest: str | TextIO) -> None:
             )
 
 
-def write_histogram_csv(
-    q_values: Iterable[float], dest: str | TextIO, bin_width: float = 0.01
-) -> None:
-    """Histogram of q values in fixed-width bins: bin_lo,bin_hi,count."""
-    if not (bin_width > 0.0 and math.isfinite(bin_width)):
-        raise DomainError(f"bin_width must be positive, got {bin_width}")
+def write_histogram_csv(q_values: Iterable[float], dest: str | TextIO) -> None:
+    """Histogram of q values in bins of width 0.01: bin_lo,bin_hi,count."""
     values = np.asarray(list(q_values), dtype=float)
-    top = float(values.max()) / bin_width if values.size else 0.0
+    top = float(values.max()) / _BIN_WIDTH if values.size else 0.0
     if not top <= _MAX_BINS:
         raise DomainError(
             f"q up to {float(values.max())!r} needs more than {_MAX_BINS} histogram "
-            f"bins of width {bin_width!r}"
+            f"bins of width {_BIN_WIDTH!r}"
         )
     with _opened(dest, "w") as fh:
         writer = csv.writer(fh)
@@ -576,7 +562,7 @@ def write_histogram_csv(
         if values.size == 0:
             return
         n_bins = max(1, math.ceil(top))
-        edges = np.arange(n_bins + 1) * bin_width
+        edges = np.arange(n_bins + 1) * _BIN_WIDTH
         counts, _ = np.histogram(values, bins=edges)
         for i, count in enumerate(counts):
             writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])), int(count)])

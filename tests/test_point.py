@@ -20,7 +20,6 @@ POWER_AT_NULL = 0.9510156371441539
 
 def test_p_value_at_zero_effect():
     assert point_p_value(0.0, 10, 9) == 0.5
-    assert point_p_value(0.0, 10, 9, two_sided=True) == 1.0
 
 
 def test_p_value_example():
@@ -28,13 +27,6 @@ def test_p_value_example():
     expected = 0.5 - math.atan(math.sqrt(2.0)) / math.pi
     assert point_p_value(1.0, 2, 1) == pytest.approx(expected, abs=1e-13)
     assert point_p_value(1.0, 2, 1) == pytest.approx(0.1959132760153035, abs=1e-13)
-
-
-def test_two_sided_doubles_and_caps():
-    one = point_p_value(0.8, 5, 4)
-    two = point_p_value(0.8, 5, 4, two_sided=True)
-    assert two == pytest.approx(2.0 * one, rel=1e-15)
-    assert point_p_value(0.01, 3, 2, two_sided=True) <= 1.0
 
 
 def test_deep_tail_p_value():
@@ -101,12 +93,6 @@ class TestPowerReplicationEstimate:
     def test_half_at_the_quantile(self):
         # the numerator vanishes when t1 equals the quantile the formula uses
         assert power_replication_estimate(t_quantile(0.05, 30), 0.05, 30) == 0.5
-        assert (
-            power_replication_estimate(
-                t_quantile(0.95, 30), 0.05, 30, quantile_tail="upper"
-            )
-            == 0.5
-        )
 
     def test_frozen_value_at_null_result(self):
         # the published formula is this optimistic about a t1 = 0 result
@@ -121,11 +107,6 @@ class TestPowerReplicationEstimate:
             assert power_replication_estimate(t1, 0.05, 40) == pytest.approx(
                 expected, rel=1e-11, abs=0.0
             )
-
-    def test_upper_tail_variant_is_stricter(self):
-        lower = power_replication_estimate(0.0, 0.05, 40)
-        upper = power_replication_estimate(0.0, 0.05, 40, quantile_tail="upper")
-        assert upper < 0.5 < lower
 
     def test_monotone_in_t1(self):
         values = [
@@ -148,7 +129,5 @@ class TestPowerReplicationEstimate:
     def test_domain_checks(self):
         with pytest.raises(DomainError):
             power_replication_estimate(1.0, 0.05, 0.5)
-        with pytest.raises(DomainError):
-            power_replication_estimate(1.0, 0.05, 20, quantile_tail="middle")
         with pytest.raises(DomainError):
             power_replication_estimate(1.0, 0.6, 20)
