@@ -169,8 +169,10 @@ def _resolve_stats(args: argparse.Namespace) -> tuple[float, float, int]:
             raise DomainError("--mean2/--sd2 apply only to the two-sample design")
         if args.mean2 is None or args.sd2 is None:
             raise DomainError("two-sample input needs both --mean2 and --sd2")
+        if not (args.sd > 0.0 and args.sd2 > 0.0):
+            raise DomainError(f"--sd and --sd2 must be positive, got {args.sd}, {args.sd2}")
         mean = args.mean - args.mean2
-        sd = math.sqrt((args.sd**2 + args.sd2**2) / 2.0)
+        sd = math.hypot(args.sd, args.sd2) / math.sqrt(2.0)
     summary = ExperimentSummary(design=design, n=args.n, mean=mean, sd=sd)
     t1, nu = t_statistic(summary)
     return t1, nu, args.n
@@ -281,13 +283,13 @@ def _cmd_qest(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int
         }
         for r in rows
     ]
-    _emit_rows("qest", columns, row_dicts, fmt)
-
     cells = [cell for per_measure in table.values() for cell in per_measure]
-    if args.cells_out:
-        varratio.write_cells_csv(cells, args.cells_out)
+    # The histogram goes first: it may refuse q, and then nothing is written.
     if args.hist_out:
         varratio.write_histogram_csv([c.q for c in cells], args.hist_out)
+    if args.cells_out:
+        varratio.write_cells_csv(cells, args.cells_out)
+    _emit_rows("qest", columns, row_dicts, fmt)
     return 0
 
 

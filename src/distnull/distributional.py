@@ -134,11 +134,20 @@ def t_statistic(summary: ExperimentSummary) -> tuple[float, float]:
     t = mean / (sd * sqrt(2 / N)) with nu = 2N - 2.
     """
     nu = degrees_of_freedom(summary.design, summary.n)
-    if summary.design is ExperimentDesign.TWO_SAMPLE_EQUAL_N:
-        se = summary.sd * math.sqrt(2.0 / summary.n)
-    else:
-        se = summary.sd / math.sqrt(summary.n)
-    return summary.mean / se, nu
+    two_sample = summary.design is ExperimentDesign.TWO_SAMPLE_EQUAL_N
+    # mean / sd first: the standard error itself may underflow to 0.
+    t = summary.mean / summary.sd * math.sqrt(0.5 * summary.n if two_sample else summary.n)
+    if math.isinf(t):
+        raise DomainError(f"t overflows at mean={summary.mean}, sd={summary.sd}")
+    return t, nu
+
+
+def _qn(null: DistributionalNull, n: int) -> float:
+    # u = qN, through which q enters every closed form below.
+    qn = null.q * _check_n(n)
+    if qn == math.inf:
+        raise DomainError(f"q * n must be finite, got {null.q} * {n}")
+    return qn
 
 
 def dist_p_value(t1: float, nu: float, n: int, null: DistributionalNull) -> float:
@@ -147,13 +156,12 @@ def dist_p_value(t1: float, nu: float, n: int, null: DistributionalNull) -> floa
     Nondecreasing in q for fixed |t1|: the more the mean is allowed to
     wander between experiments, the less surprising any one result is.
     """
-    _check_n(n)
-    return t_cdf(-abs(t1) / math.sqrt(1.0 + null.q * n), nu)
+    return t_cdf(-abs(t1) / math.sqrt(1.0 + _qn(null, n)), nu)
 
 
 def dist_t_crit(alpha: float, nu: float, n: int, null: DistributionalNull) -> float:
     """Critical t value under the null: T_nu^{-1}(1 - alpha) sqrt(1 + qN)."""
-    return _t_alpha(alpha, nu) * math.sqrt(1.0 + null.q * _check_n(n))
+    return _t_alpha(alpha, nu) * math.sqrt(1.0 + _qn(null, n))
 
 
 def dist_z_crit(alpha: float, nu: float, n: int, null: DistributionalNull) -> float:
@@ -181,8 +189,7 @@ def posterior_update(x_bar_1: float, n: int, null: DistributionalNull) -> Poster
     With q = 0 the null absorbs all evidence (mu_N = 0); as q grows the
     posterior approaches the observed mean.
     """
-    _check_n(n)
-    qn = null.q * n
+    qn = _qn(null, n)
     shrinkage = qn / (1.0 + qn)
     return PosteriorMean(
         mu_n=shrinkage * x_bar_1,
@@ -204,9 +211,10 @@ def replication_probability(
     significant repeat is pure false-positive luck.
     """
     t_crit = dist_t_crit(alpha, nu, n, null)
-    qn = null.q * n
+    qn = _qn(null, n)
     shrinkage = qn / (1.0 + qn)
-    spread = math.sqrt((1.0 + 2.0 * qn) / (1.0 + qn))
+    # (1 + 2qN) / (1 + qN), without forming 2qN, which may overflow
+    spread = math.sqrt(1.0 + shrinkage)
     return t_cdf((shrinkage * abs(t1) - t_crit) / spread, nu)
 
 
@@ -215,7 +223,7 @@ def dist_test_from_t(
 ) -> DistTestReport:
     """Distributional-null report from a precomputed t statistic."""
     a = _t_alpha(alpha, nu)
-    t_crit = a * math.sqrt(1.0 + null.q * _check_n(n))
+    t_crit = a * math.sqrt(1.0 + _qn(null, n))
     return DistTestReport(
         t_stat=t1,
         nu=float(nu),

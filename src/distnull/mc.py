@@ -260,9 +260,11 @@ def simulate_replication(
     def chunk_hits(rng: np.random.Generator, size: int) -> int:
         # everything in units of se, as in simulate_fpr
         s1 = np.sqrt(_chi2_over_nu(rng, nu, size))
-        mu = shrinkage * t1 * s1 + post_sd * rng.standard_normal(size)
-        m2 = mu + rng.standard_normal(size)
-        denom = s1 if variant == "shared_s" else np.sqrt(_chi2_over_nu(rng, nu, size))
-        return int(np.count_nonzero(sign * m2 / denom >= crit))
+        # a huge t1 overflows to inf with its own sign: a hit, as it should be
+        with np.errstate(over="ignore"):
+            mu = shrinkage * t1 * s1 + post_sd * rng.standard_normal(size)
+            m2 = mu + rng.standard_normal(size)
+            denom = s1 if variant == "shared_s" else np.sqrt(_chi2_over_nu(rng, nu, size))
+            return int(np.count_nonzero(sign * m2 / denom >= crit))
 
     return _rate(cfg, chunk_hits)

@@ -1,17 +1,19 @@
 """Student-t and normal distribution functions.
 
-Everything here reduces to the regularized incomplete beta function
-I_x(a, b), evaluated with a continued fraction.  The t CDF uses the
-identity
+The t CDF takes every tail from one lower tail, T_nu(-|x|), and
+T_nu(x) = 1 - T_nu(-x) for x > 0.  With q = x^2 / nu, w = 1 / (1 + q)
+and z = q / (1 + q),
 
-    T_nu(-|x|) = I_w(nu/2, 1/2) / 2,   w = nu / (nu + x^2),
+    T_nu(-|x|) = I_w(nu/2, 1/2) / 2 = 1/2 - I_z(1/2, nu/2) / 2,
 
-which gives every tail probability directly, and T_nu(x) = 1 - T_nu(-x)
-for x > 0.  Quantiles invert the same lower tail T_nu(-|x|) with Newton
-steps from Hill's (1970, CACM Algorithm 396) start value, safeguarded by
-bisection; below nu = 1, where Hill's expansion does not hold, the
-t's power-law tail gives the start instead.  Plain floats throughout; no
-external dependencies.
+where I is the regularized incomplete beta function, evaluated with a
+continued fraction in w or in z, whichever converges fast.  From
+nu = 1e4 on, Hill's (1970, CACM Algorithm 395) series maps the t onto a
+normal deviate instead.  Quantiles invert the same lower tail with
+Newton steps from Hill's (1970, CACM Algorithm 396) start value,
+safeguarded by bisection; below nu = 1, where Hill's expansion does not
+hold, the t's power-law tail gives the start instead.  Plain floats
+throughout; no external dependencies.
 """
 
 from __future__ import annotations
@@ -113,6 +115,41 @@ def _check_nu(nu: float) -> float:
     return float(nu)
 
 
+def _log_beta_half(a: float) -> float:
+    # ln B(a, 1/2).  From a = 20 on, the Stirling series for ln Gamma(a) /
+    # Gamma(a + 1/2) is good to 3.4e-15, and does not cancel or overflow.
+    if a < 20.0:
+        return _log_beta(a, 0.5)
+    r = 1.0 / (a * a)
+    return 0.5 * math.log(math.pi / a) + (
+        ((-17.0 / 14336.0 * r + 1.0 / 640.0) * r - 1.0 / 192.0) * r + 0.125
+    ) / a
+
+
+def _t_tail(x: float, nu: float) -> float:
+    # T_nu(-|x|) for finite x != 0, through the logs of w and z (see the
+    # module docstring): x^2 and 1 - w are never formed.
+    x = abs(x)
+    q = x * (x / nu)
+    ln_q = 2.0 * math.log(x) - math.log(nu)  # finite where q over- or underflows
+    ln_1q = math.log1p(q) if q < math.inf else ln_q
+    if nu >= 1e4:
+        # Hill (1970), CACM Algorithm 395: a normal deviate y (from a x^2 / nu
+        # where q underflows).  Past y = 1e4 the tail is 0; the series overflows.
+        a = nu - 0.5
+        b = 48.0 * a * a
+        y = min(a * ln_1q, 1e4) if q >= sys.float_info.min else x * x * (a / nu)
+        y = (((((-0.4 * y - 3.3) * y - 24.0) * y - 85.5) / (0.8 * y * y + 100.0 + b)
+              + y + 3.0) / b + 1.0) * math.sqrt(y)
+        return 0.5 * math.erfc(y / math.sqrt(2.0))
+    a = 0.5 * nu
+    front = math.exp(0.5 * (ln_q - ln_1q) - a * ln_1q - _log_beta_half(a))
+    w = 1.0 / (1.0 + q)
+    if w < (a + 1.0) / (a + 2.5):
+        return 0.5 * front * _betacf(a, 0.5, w) / a
+    return 0.5 - front * _betacf(0.5, a, q / (1.0 + q))
+
+
 def t_cdf(x: float, nu: float) -> float:
     """CDF of Student's t distribution with nu degrees of freedom."""
     nu = _check_nu(nu)
@@ -120,12 +157,11 @@ def t_cdf(x: float, nu: float) -> float:
         raise DomainError(f"x must be finite, got {x}")
     if x == 0.0:
         return 0.5
-    w = nu / (nu + x * x)
-    half_tail = 0.5 * reg_inc_beta(w, 0.5 * nu, 0.5)
-    return 1.0 - half_tail if x > 0.0 else half_tail
+    tail = _t_tail(x, nu)
+    return 1.0 - tail if x > 0.0 else tail
 
 
-# Largest x whose square is still finite; t_cdf is exactly 1 beyond it.
+# Largest x whose square is finite, the end of t_quantile's range.
 _X_SQ_MAX = math.sqrt(sys.float_info.max)
 
 
@@ -183,8 +219,7 @@ def t_quantile(p: float, nu: float) -> float:
 
     Solves T_nu(-|x|) = min(p, 1 - p), so tail probabilities keep their
     relative accuracy, and mirrors: t_quantile(1 - p) = -t_quantile(p).
-    Raises DomainError when |x| is so large that x^2 overflows, where
-    t_cdf cannot tell x from infinity.
+    Raises DomainError when |x| is so large that x^2 overflows.
     """
     nu = _check_nu(nu)
     if not (0.0 < p < 1.0):
@@ -193,7 +228,7 @@ def t_quantile(p: float, nu: float) -> float:
         return 0.0
     tail = min(p, 1.0 - p)
     ln_tail = math.log(tail)
-    ln_beta = _log_beta(0.5 * nu, 0.5)
+    ln_beta = _log_beta_half(0.5 * nu)
     # The t density is exp(ln_f0 - (nu + 1)/2 ln(1 + x^2/nu)).
     ln_f0 = -ln_beta - 0.5 * math.log(nu)
     if nu >= 1.0:
@@ -212,22 +247,15 @@ def t_quantile(p: float, nu: float) -> float:
     # bracket.  f and f' are scaled by 1 / tail, so the step stays finite
     # where the density itself underflows.
     lo, hi = 0.0, math.inf
-    best_f, best_x, best_step = math.inf, x, 0.0
     prev_f = math.inf
     for _ in range(128):
         f = tail - t_cdf(-x, nu)
-        dens = math.exp(ln_f0 - 0.5 * (nu + 1.0) * math.log1p(x * x / nu) - ln_tail)
+        dens = math.exp(ln_f0 - 0.5 * (nu + 1.0) * math.log1p(x * (x / nu)) - ln_tail)
         step = f / tail / dens if dens > 0.0 else 0.0
-        if abs(f) < best_f:
-            best_f, best_x, best_step = abs(f), x, step
-        halved = abs(f) <= 0.5 * prev_f
-        # Converged, or near the root a Newton step failed to halve |f|
-        # or is below x's rounding, so t_cdf's own rounding is the limit:
-        # finish with the Newton step from the best point seen, kept
-        # inside the bracket.
-        stuck = (not halved and abs(f) < 1e-8 * tail) or (step and x - step == x)
-        if abs(f) <= 1e-12 * tail or stuck:
-            x = min(max(best_x - best_step, lo), hi)
+        # Converged, or the Newton step is below x's rounding: finish with
+        # that step, kept inside the bracket.
+        if abs(f) <= 1e-12 * tail or (step and x - step == x):
+            x = min(max(x - step, lo), hi)
             break
         if f > 0.0:
             hi = x
@@ -236,6 +264,7 @@ def t_quantile(p: float, nu: float) -> float:
         # Bisect (or double, while hi is open) after a Newton step that
         # failed to halve |f|, or instead of one that would leave the
         # bracket.  Only Newton steps are held to halving.
+        halved = abs(f) <= 0.5 * prev_f
         x_new, prev_f = x - step, abs(f)
         if not (halved and step and lo < x_new < hi):
             x_new = 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
@@ -247,7 +276,7 @@ def t_quantile(p: float, nu: float) -> float:
     else:
         raise SolverFailure(
             f"t quantile did not converge at p={p}, nu={nu}: "
-            f"bracket [{lo}, {hi}], residual {best_f:.3g}"
+            f"bracket [{lo}, {hi}], residual {abs(f):.3g}"
         )
     return x if p > 0.5 else -x
 

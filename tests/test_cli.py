@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import shutil
 import subprocess
 
@@ -347,10 +348,42 @@ class TestExitCodes:
         ],
     )
     def test_overflowing_nu(self, capsys, argv):
+        # lgamma(nu / 2) overflows here, but the t is at its normal limit:
+        # scipy.special.ndtr of the normal-theory argument, frozen.
+        expected = {
+            "range": {"thumb_p_threshold": 9.623353687224727e-06},
+            "thumb": {"p_threshold": 9.623353687224727e-06},
+            "test": {"point_p_value": 0.0013498980316300933,
+                     "dist_p_value": 0.0416322583317752},
+            "replicate": {"replication_probability": 0.25539458434879814},
+        }[argv[0]]
+        doc, _ = run_json(capsys, argv)
+        for key, value in expected.items():
+            assert doc["result"][key] == pytest.approx(value, rel=1e-12), key
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["test", "--design", "two-sample", "--n", "20", "--mean", "2", "--sd", "-1",
+              "--mean2", "0", "--sd2", "1.7e308", "--q", "0.1"], "must be positive"),
+            (["test", "--design", "two-sample", "--n", "20", "--mean", "2", "--sd", "-1",
+              "--mean2", "0", "--sd2", "1", "--q", "0.1"], "must be positive"),
+            (["test", "--design", "paired", "--n", "20", "--mean", "1e300", "--sd", "5e-324",
+              "--q", "1e5"], "t overflows"),
+            (["test", "--t", "0.5", "--nu", "19", "--n", str(2**1022), "--q", "1e20"],
+             "q * n must be finite"),
+        ],
+    )
+    def test_inputs_beyond_float_range_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, argv)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "overflows" in err
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and message in err
+
+    def test_two_sample_pooling_does_not_square_the_sds(self, capsys):
+        argv = ["test", "--design", "two-sample", "--n", "20", "--mean", "1.5e308",
+                "--sd", "1e308", "--mean2", "0.5e308", "--sd2", "1e308", "--q", "0"]
+        doc, _ = run_json(capsys, argv)
+        assert doc["result"]["t"] == pytest.approx(math.sqrt(10), rel=1e-15)
 
     @pytest.mark.parametrize(
         "argv",
@@ -525,12 +558,16 @@ class TestQest:
 
     def test_histogram_too_wide_exits_2(self, overflow_run, tmp_path):
         # q is about 2.3e43: finite and printed, but 2.3e45 bins of width 0.01
+        data = [("a", "1"), ("a", "1.0000000000000002"), ("b", "1e6"), ("b", "2e6")]
+        code, rows, _ = overflow_run(data)
+        assert code == 0
+        assert float(rows[0]["q975"]) == pytest.approx(2.2247238370991267e43, rel=1e-12)
+        cells = tmp_path / "cells.csv"
         code, rows, err = overflow_run(
-            [("a", "1"), ("a", "1.0000000000000002"), ("b", "1e6"), ("b", "2e6")],
-            "--hist-out", str(tmp_path / "hist.csv"),
+            data, "--hist-out", str(tmp_path / "hist.csv"), "--cells-out", str(cells)
         )
         assert code == 2
-        assert float(rows[0]["q975"]) == pytest.approx(2.2247238370991267e43, rel=1e-12)
+        assert rows == [] and not cells.exists()  # nothing written before the refusal
         assert err.startswith("error: q up to 2.28") and "histogram bins" in err
 
     def test_mean_of_huge_ratios_is_finite(self, overflow_run):

@@ -1,4 +1,4 @@
-"""Random argv for the CLI: every run ends with exit 0 or 2, in bounded
+"""Random argv for the CLI: every run ends with exit 0, 2 or 3, in bounded
 time, with no traceback and no nan or inf in what it prints."""
 
 import contextlib
@@ -33,6 +33,37 @@ ODD_ROWS = st.lists(
               st.sampled_from(["m", "", " ", "m,2", "μ"]), VALUE),
     max_size=3,
 )
+
+
+# Flag values from the middle of each domain to its edges and past them.
+NUMBER = st.sampled_from(
+    ["0", "-0", "1", "-1", "0.05", "0.3", "0.5", "0.999", "2.5", "19", "-3.7", "1e-9",
+     "1e-160", "5e-324", "1e5", "1e20", "1e154", "1e300", "1.7e308", "-1.7e308", "1e400",
+     "nan", "inf", "-inf", "oops"]
+)
+SIZE = st.sampled_from(
+    ["0", "1", "2", "3", "20", "1000", "-5", "2.5", "x", str(2**1022), str(2**1022 + 1),
+     str(10**200), str(10**400)]
+)
+# simulate runs every trial, so its counts stay small
+TRIALS = st.sampled_from(["-1", "0", "1", "7", "100"])
+SIM_N = st.sampled_from(["2", "3", "20", "65", "1000", "2,20", "20,,3", ",", "0", "x",
+                         str(2**1022), str(10**200), str(10**400)])
+DESIGN = st.sampled_from(["one-sample", "paired", "two-sample", "bogus"])
+FORMAT = st.sampled_from(["json", "csv", "human"])
+
+
+def flags(**values):
+    """argv for the given flags, leaving out those drawn as None."""
+    argv = []
+    for name, value in values.items():
+        if value is not None:
+            argv += [f"--{name.replace('_', '-')}", value]
+    return argv
+
+
+def maybe(strategy):
+    return st.none() | strategy
 
 
 class _Timeout(Exception):
@@ -96,3 +127,86 @@ def test_qest(cells, odd_rows, min_cell_n, sites, ddof, fmt, cells_out, hist_out
     assert "Traceback" not in err, (argv, rows, err)
     assert "encountered" not in err, (argv, rows, err)  # numpy's RuntimeWarning text
     assert not NON_FINITE.search(out), (argv, rows, out)
+
+
+def check(argv):
+    code, out, err = run_bounded(argv)
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err, (argv, err)
+    assert not NON_FINITE.search(out), (argv, out)
+
+
+STATS = st.fixed_dictionaries({
+    "design": maybe(DESIGN),
+    "n": SIZE,
+    "mean": maybe(NUMBER),
+    "sd": maybe(NUMBER),
+    "mean2": maybe(NUMBER),
+    "sd2": maybe(NUMBER),
+    "t": maybe(NUMBER),
+    "nu": maybe(NUMBER),
+    "alpha": maybe(NUMBER),
+    "q": NUMBER,
+    "format": FORMAT,
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(["test", "replicate"]), values=STATS)
+@example(command="test", values={
+    "design": "two-sample", "n": "20", "mean": "2", "sd": "-1", "mean2": "0",
+    "sd2": "1.7e308", "t": None, "nu": None, "alpha": None, "q": "0.1", "format": "human"})
+@example(command="test", values={
+    "design": "paired", "n": "20", "mean": "1e300", "sd": "5e-324", "mean2": None,
+    "sd2": None, "t": None, "nu": None, "alpha": None, "q": "1e5", "format": "human"})
+@example(command="test", values={
+    "design": None, "n": str(2**1022), "mean": None, "sd": None, "mean2": None,
+    "sd2": None, "t": "0.5", "nu": "19", "alpha": None, "q": "1e20", "format": "human"})
+def test_test_and_replicate(command, values):
+    check([command, *flags(**values)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.fixed_dictionaries({
+    "t": NUMBER, "nu": NUMBER, "n": SIZE, "alpha": maybe(NUMBER), "beta": maybe(NUMBER),
+    "q_ceiling": maybe(NUMBER), "format": FORMAT,
+}))
+def test_range(values):
+    check(["range", *flags(**values)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.fixed_dictionaries({"nu": NUMBER, "alpha": maybe(NUMBER), "format": FORMAT}))
+@example(values={"nu": "1e300", "alpha": None, "format": "human"})
+def test_thumb(values):
+    check(["thumb", *flags(**values)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.fixed_dictionaries({
+        "mode": maybe(st.sampled_from(["fpr", "replication"])),
+        "design": maybe(DESIGN),
+        "n": SIM_N,
+        "q_true": NUMBER,
+        "q_test": maybe(NUMBER),
+        "alpha": maybe(NUMBER),
+        "trials": TRIALS,
+        "seed": maybe(st.sampled_from(["0", "7", "-1", str(2**64)])),
+        "t": maybe(NUMBER),
+        "variant": maybe(st.sampled_from(["shared-s", "independent-s"])),
+        "format": FORMAT,
+    }),
+    one_sided=st.booleans(),
+)
+@example(values={
+    "mode": None, "design": None, "n": str(10**200), "q_true": "0", "q_test": None,
+    "alpha": None, "trials": "7", "seed": None, "t": None, "variant": None,
+    "format": "human"}, one_sided=False)
+# t1 * s1 and the repeat's statistic overflow, so numpy warned of it
+@example(values={
+    "mode": "replication", "design": None, "n": "2", "q_true": "1", "q_test": None,
+    "alpha": None, "trials": "100", "seed": None, "t": "1.7e308",
+    "variant": "independent-s", "format": "json"}, one_sided=False)
+def test_simulate(values, one_sided):
+    check(["simulate", *flags(**values), *(["--no-two-sided"] if one_sided else [])])

@@ -48,6 +48,16 @@ class TestTStatistic:
         assert t == pytest.approx(1.0, rel=1e-15)
         assert nu == 14.0
 
+    def test_standard_error_below_the_float_range(self):
+        # sd / sqrt(N) underflows to 0, but mean / sd does not
+        for design in ExperimentDesign:
+            summary = ExperimentSummary(design, 20, 1e-300, 5e-324)
+            t, _ = t_statistic(summary)
+            root_n = math.sqrt(10 if design is ExperimentDesign.TWO_SAMPLE_EQUAL_N else 20)
+            assert t == pytest.approx(1e-300 / 5e-324 * root_n, rel=1e-15)
+        with pytest.raises(DomainError, match="t overflows"):
+            t_statistic(ExperimentSummary(ExperimentDesign.PAIRED, 20, 1e300, 5e-324))
+
     def test_degrees_of_freedom(self):
         assert degrees_of_freedom(ExperimentDesign.ONE_SAMPLE, 12) == 11.0
         assert degrees_of_freedom(ExperimentDesign.PAIRED, 12) == 11.0
@@ -67,6 +77,19 @@ class TestTStatistic:
 def test_alpha_is_checked_before_n():
     with pytest.raises(DomainError, match="alpha"):
         dist_test_from_t(2.0, 19.0, 1, DistributionalNull(0.1), alpha=0.7)
+
+
+def test_overflowing_q_times_n():
+    null, n = DistributionalNull(1e20), 2**1022
+    for call in (
+        lambda: dist_p_value(0.5, 19.0, n, null),
+        lambda: dist_t_crit(0.05, 19.0, n, null),
+        lambda: posterior_update(1.0, n, null),
+        lambda: replication_probability(0.5, 0.05, 19.0, n, null),
+        lambda: dist_test_from_t(0.5, 19.0, n, null),
+    ):
+        with pytest.raises(DomainError, match=r"q \* n must be finite"):
+            call()
 
 
 def test_null_validation():
@@ -210,6 +233,12 @@ class TestReplicationProbability:
         assert replication_probability(4.0, 0.05, 19, 20, null) == pytest.approx(
             P_R_AT_4, abs=1e-11
         )
+
+    def test_finite_q_times_n_whose_double_overflows(self):
+        # qN = 1e308: the repeat's spread is sqrt(2), not infinite, so t_crit
+        # puts p_r deep in the tail instead of at 1/2.
+        p_r = replication_probability(3.0, 0.05, 19.0, 10, DistributionalNull(1e307))
+        assert p_r < 1e-300
 
     def test_sign_symmetric(self):
         null = DistributionalNull(0.08)
