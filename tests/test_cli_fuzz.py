@@ -54,12 +54,10 @@ FORMAT = st.sampled_from(["json", "csv", "human"])
 
 
 def flags(**values):
-    """argv for the given flags, leaving out those drawn as None."""
-    argv = []
-    for name, value in values.items():
-        if value is not None:
-            argv += [f"--{name.replace('_', '-')}", value]
-    return argv
+    """argv for the given flags, leaving out those drawn as None.  Each is
+    one --flag=value word, so that argparse takes "-inf" as a value."""
+    return [f"--{name.replace('_', '-')}={value}" for name, value in values.items()
+            if value is not None]
 
 
 def maybe(strategy):
@@ -153,6 +151,7 @@ STATS = st.fixed_dictionaries({
 
 @settings(max_examples=300, deadline=None)
 @given(command=st.sampled_from(["test", "replicate"]), values=STATS)
+# an sd**2 that overflowed, a standard error that underflowed to 0, a q * n of inf
 @example(command="test", values={
     "design": "two-sample", "n": "20", "mean": "2", "sd": "-1", "mean2": "0",
     "sd2": "1.7e308", "t": None, "nu": None, "alpha": None, "q": "0.1", "format": "human"})
@@ -177,7 +176,7 @@ def test_range(values):
 
 @settings(max_examples=200, deadline=None)
 @given(values=st.fixed_dictionaries({"nu": NUMBER, "alpha": maybe(NUMBER), "format": FORMAT}))
-@example(values={"nu": "1e300", "alpha": None, "format": "human"})
+@example(values={"nu": "1e300", "alpha": None, "format": "human"})  # once hung
 def test_thumb(values):
     check(["thumb", *flags(**values)])
 
@@ -199,6 +198,7 @@ def test_thumb(values):
     }),
     one_sided=st.booleans(),
 )
+# dist_t_crit at nu near 1e200 once hung
 @example(values={
     "mode": None, "design": None, "n": str(10**200), "q_true": "0", "q_test": None,
     "alpha": None, "trials": "7", "seed": None, "t": None, "variant": None,
