@@ -9,43 +9,42 @@ significance-and-replication criterion with its q-range solver,
 variance-ratio estimation from multi-site data, and a seeded
 Monte-Carlo harness that checks the formulas by simulation.
 
-The closed forms need only the standard library.  ``varratio`` and
-``mc`` need numpy, so they and their names load on first access.
+Every submodule, and every public name, loads on first access, so
+``import distnull`` loads none of them.  A name is looked up in the
+layers in dependency order and loads only the layers up to its own:
+``from distnull import t_cdf`` loads ``errors`` and ``special``.  Only
+``varratio`` and ``mc`` need numpy; they are searched last.
 """
 
-import importlib
-
-from . import criterion, distributional, errors, point, special
-from .criterion import *  # noqa: F403
-from .distributional import *  # noqa: F403
-from .errors import *  # noqa: F403
-from .point import *  # noqa: F403
-from .special import *  # noqa: F403
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-_EAGER = (errors, special, point, distributional, criterion)
-_LAZY = ("varratio", "mc")
-
-
-def _lazy_modules():
-    for name in _LAZY:
-        yield importlib.import_module(f"{__name__}.{name}")
+# Dependency order: each layer imports only layers before it.
+_LAYERS = ("errors", "special", "point", "distributional", "criterion", "varratio", "mc")
+_SUBMODULES = (*_LAYERS, "cli")
 
 
 def __getattr__(name: str):
-    if name in _LAZY:
-        return importlib.import_module(f"{__name__}.{name}")
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
     if name == "__all__":
-        return ["__version__"] + [
-            public for module in (*_EAGER, *_lazy_modules()) for public in module.__all__
+        value = ["__version__"] + [
+            public for layer in _LAYERS for public in __getattr__(layer).__all__
         ]
-    if not name.startswith("__"):  # tools probing dunders must not load numpy
-        for module in _lazy_modules():
+    elif name.startswith("__"):  # tools probing dunders must not load numpy
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    else:
+        for layer in _LAYERS:
+            module = __getattr__(layer)
             if name in module.__all__:
-                return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+                value = getattr(module, name)
+                break
+        else:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY, *__getattr__("__all__")})
+    return sorted({*globals(), *_SUBMODULES, *__getattr__("__all__")})

@@ -4,8 +4,10 @@ Subcommands: test, replicate, range, qest, simulate, thumb.  Reports
 render as human-readable text, CSV, or versioned JSON (--format).
 Defaults for alpha, beta, seed, trials, q_ceiling, and format can come
 from an INI config file with a [defaults] section (--config); explicit
-flags always win.  Only qest and simulate import numpy (through
-varratio and mc); the other subcommands start without it.
+flags always win.  Each subcommand imports only the layers it runs:
+test and replicate load point and distributional, range and thumb load
+criterion (with point), qest loads varratio and simulate loads mc (both
+with numpy).  --help, --version and usage errors import none of them.
 
 Exit codes: 0 success (a no-solution result is a success), 2 usage or
 data errors, 3 solver failure.
@@ -14,33 +16,20 @@ data errors, 3 solver failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
-import json
 import math
 import sys
 import warnings
 
 from . import __version__
-from .criterion import THUMB_RATIO, Criteria, NoSolution, q_interval, rule_of_thumb
-from .distributional import (
-    DistributionalNull,
-    ExperimentDesign,
-    ExperimentSummary,
-    degrees_of_freedom,
-    dist_test_from_t,
-    replication_probability,
-    t_statistic,
-)
 from .errors import DataFormatError, DomainError, SolverFailure
-from .point import _check_n, point_test, power_replication_estimate
 
 SCHEMA_VERSION = 1
 
+# ExperimentDesign member names: distributional loads only where a design is used.
 _DESIGNS = {
-    "one-sample": ExperimentDesign.ONE_SAMPLE,
-    "paired": ExperimentDesign.PAIRED,
-    "two-sample": ExperimentDesign.TWO_SAMPLE_EQUAL_N,
+    "one-sample": "ONE_SAMPLE",
+    "paired": "PAIRED",
+    "two-sample": "TWO_SAMPLE_EQUAL_N",
 }
 
 _DEFAULTS = {
@@ -104,15 +93,18 @@ def _fmt_csv(value) -> str:
     return str(value)
 
 
+def _emit_json(command: str, key: str, value) -> None:
+    import json
+
+    doc = {"schema_version": SCHEMA_VERSION, "command": command, key: value}
+    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
 def _emit_result(command: str, result: dict, fmt: str) -> None:
     if fmt == "json":
-        doc = {"schema_version": SCHEMA_VERSION, "command": command, "result": result}
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        _emit_json(command, "result", result)
     elif fmt == "csv":
-        keys = sorted(result)
-        writer = csv.writer(sys.stdout)
-        writer.writerow(keys)
-        writer.writerow([_fmt_csv(result[k]) for k in keys])
+        _emit_rows(command, sorted(result), [result], fmt)
     else:
         width = max(len(k) for k in result)
         for key in result:
@@ -121,9 +113,10 @@ def _emit_result(command: str, result: dict, fmt: str) -> None:
 
 def _emit_rows(command: str, columns: list[str], rows: list[dict], fmt: str) -> None:
     if fmt == "json":
-        doc = {"schema_version": SCHEMA_VERSION, "command": command, "rows": rows}
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        _emit_json(command, "rows", rows)
     elif fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout)
         writer.writerow(columns)
         for row in rows:
@@ -152,6 +145,9 @@ def _add_stat_inputs(sub: argparse.ArgumentParser) -> None:
 
 def _resolve_stats(args: argparse.Namespace) -> tuple[float, float, int]:
     """(t1, nu, n) from either a precomputed statistic or raw summaries."""
+    from .distributional import ExperimentDesign, ExperimentSummary, t_statistic
+    from .point import _check_n
+
     if args.t is not None:
         if args.nu is None:
             raise DomainError("--t requires --nu")
@@ -162,7 +158,7 @@ def _resolve_stats(args: argparse.Namespace) -> tuple[float, float, int]:
         return args.t, args.nu, _check_n(args.n)
     if args.design is None or args.mean is None or args.sd is None:
         raise DomainError("need --design, --n, --mean and --sd (or --t with --nu)")
-    design = _DESIGNS[args.design]
+    design = ExperimentDesign[_DESIGNS[args.design]]
     mean, sd = args.mean, args.sd
     if args.mean2 is not None or args.sd2 is not None:
         if design is not ExperimentDesign.TWO_SAMPLE_EQUAL_N:
@@ -179,6 +175,9 @@ def _resolve_stats(args: argparse.Namespace) -> tuple[float, float, int]:
 
 
 def _cmd_test(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int:
+    from .distributional import DistributionalNull, dist_test_from_t
+    from .point import point_test
+
     alpha = _setting(args, config, "alpha", float)
     t1, nu, n = _resolve_stats(args)
     null = DistributionalNull(args.q)
@@ -207,6 +206,9 @@ def _cmd_test(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int
 
 
 def _cmd_replicate(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int:
+    from .distributional import DistributionalNull, replication_probability
+    from .point import power_replication_estimate
+
     alpha = _setting(args, config, "alpha", float)
     t1, nu, n = _resolve_stats(args)
     null = DistributionalNull(args.q)
@@ -224,6 +226,10 @@ def _cmd_replicate(args: argparse.Namespace, config: dict[str, str], fmt: str) -
 
 
 def _cmd_range(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int:
+    import dataclasses
+
+    from .criterion import Criteria, NoSolution, q_interval, rule_of_thumb
+
     alpha = _setting(args, config, "alpha", float)
     beta = _setting(args, config, "beta", float)
     q_ceiling = _setting(args, config, "q_ceiling", float)
@@ -294,12 +300,18 @@ def _cmd_qest(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int
 
 
 def _cmd_simulate(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int:
+    from .distributional import (
+        DistributionalNull,
+        ExperimentDesign,
+        degrees_of_freedom,
+        replication_probability,
+    )
     from .mc import SimConfig, fpr_vs_n, simulate_fpr, simulate_replication
 
     alpha = _setting(args, config, "alpha", float)
     seed = _setting(args, config, "seed", int)
     trials = _setting(args, config, "trials", int)
-    design = _DESIGNS[args.design]
+    design = ExperimentDesign[_DESIGNS[args.design]]
     try:
         n_values = [int(piece) for piece in str(args.n).split(",") if piece]
     except ValueError as exc:
@@ -365,6 +377,8 @@ def _cmd_simulate(args: argparse.Namespace, config: dict[str, str], fmt: str) ->
 
 
 def _cmd_thumb(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int:
+    from .criterion import THUMB_RATIO, rule_of_thumb
+
     alpha = _setting(args, config, "alpha", float)
     result = {
         "alpha": alpha,
@@ -462,6 +476,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed usage
         return int(exc.code or 0)
     try:
+        t = getattr(args, "t", None)
+        if t is not None and not math.isfinite(t):
+            raise DomainError(f"--t must be finite, got {t}")
         config = _load_config(args.config)
         fmt = _pick_format(args, config)
         return args.func(args, config, fmt)

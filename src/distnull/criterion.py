@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, SolverFailure
-from .point import _check_alpha, _check_n, _t_alpha
+from .point import _check_alpha, _check_n, _qn, _t_alpha
 from .special import t_cdf, t_quantile
 
 if TYPE_CHECKING:
@@ -150,7 +150,7 @@ def r_crit(criteria: Criteria, nu: float, n: int, q: float) -> JointCriterionRes
     """Both thresholds and their maximum R_q at a single q."""
     _check_q_positive(q)
     a, b = _quantiles(criteria, nu)
-    u = q * _check_n(n)
+    u = _qn(q, n)
     rep = _t_rep_u(a, b, u)
     crit = _t_crit_u(a, u)
     return JointCriterionResult(t_rep=rep, t_crit=crit, r_q=max(rep, crit), q=q)
@@ -164,7 +164,8 @@ def r_curve(criteria: Criteria, nu: float, n: int, q: np.ndarray) -> np.ndarray:
     if np.any(q <= 0.0) or not np.all(np.isfinite(q)):
         raise DomainError("all q values must be positive and finite")
     a, b = _quantiles(criteria, nu)
-    u = q * _check_n(n)
+    _qn(float(q.max(initial=0.0)), n)  # u rises with q: the largest q decides
+    u = q * n
     root = np.sqrt(1.0 + u)
     crit = a * root
     rep = root * ((a * (1.0 + u) + b * np.sqrt(1.0 + 2.0 * u)) / u)

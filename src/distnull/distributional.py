@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateSampleError, DomainError
-from .point import _check_n, _t_alpha
+from .point import _check_n, _qn, _t_alpha
 from .special import t_cdf
 
 __all__ = [
@@ -142,26 +142,18 @@ def t_statistic(summary: ExperimentSummary) -> tuple[float, float]:
     return t, nu
 
 
-def _qn(null: DistributionalNull, n: int) -> float:
-    # u = qN, through which q enters every closed form below.
-    qn = null.q * _check_n(n)
-    if qn == math.inf:
-        raise DomainError(f"q * n must be finite, got {null.q} * {n}")
-    return qn
-
-
 def dist_p_value(t1: float, nu: float, n: int, null: DistributionalNull) -> float:
     """p-value against the distributional null: T_nu(-|t1| / sqrt(1 + qN)).
 
     Nondecreasing in q for fixed |t1|: the more the mean is allowed to
     wander between experiments, the less surprising any one result is.
     """
-    return t_cdf(-abs(t1) / math.sqrt(1.0 + _qn(null, n)), nu)
+    return t_cdf(-abs(t1) / math.sqrt(1.0 + _qn(null.q, n)), nu)
 
 
 def dist_t_crit(alpha: float, nu: float, n: int, null: DistributionalNull) -> float:
     """Critical t value under the null: T_nu^{-1}(1 - alpha) sqrt(1 + qN)."""
-    return _t_alpha(alpha, nu) * math.sqrt(1.0 + _qn(null, n))
+    return _t_alpha(alpha, nu) * math.sqrt(1.0 + _qn(null.q, n))
 
 
 def dist_z_crit(alpha: float, nu: float, n: int, null: DistributionalNull) -> float:
@@ -189,7 +181,7 @@ def posterior_update(x_bar_1: float, n: int, null: DistributionalNull) -> Poster
     With q = 0 the null absorbs all evidence (mu_N = 0); as q grows the
     posterior approaches the observed mean.
     """
-    qn = _qn(null, n)
+    qn = _qn(null.q, n)
     shrinkage = qn / (1.0 + qn)
     return PosteriorMean(
         mu_n=shrinkage * x_bar_1,
@@ -211,7 +203,7 @@ def replication_probability(
     significant repeat is pure false-positive luck.
     """
     t_crit = dist_t_crit(alpha, nu, n, null)
-    qn = _qn(null, n)
+    qn = _qn(null.q, n)
     shrinkage = qn / (1.0 + qn)
     # (1 + 2qN) / (1 + qN), without forming 2qN, which may overflow
     spread = math.sqrt(1.0 + shrinkage)
@@ -223,7 +215,7 @@ def dist_test_from_t(
 ) -> DistTestReport:
     """Distributional-null report from a precomputed t statistic."""
     a = _t_alpha(alpha, nu)
-    t_crit = a * math.sqrt(1.0 + _qn(null, n))
+    t_crit = a * math.sqrt(1.0 + _qn(null.q, n))
     return DistTestReport(
         t_stat=t1,
         nu=float(nu),

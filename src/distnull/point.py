@@ -44,6 +44,15 @@ def _check_n(n: int) -> int:
     return n
 
 
+def _qn(q: float, n: int) -> float:
+    # u = qN, through which q enters every closed form of the
+    # distributional null and the joint criterion.
+    u = q * _check_n(n)
+    if u == math.inf:
+        raise DomainError(f"q * n must be finite, got {q} * {n}")
+    return u
+
+
 def _check_alpha(alpha: float) -> float:
     if not (0.0 < alpha < 0.5):
         raise DomainError(f"alpha must lie in (0, 0.5), got {alpha}")
@@ -51,9 +60,10 @@ def _check_alpha(alpha: float) -> float:
 
 
 def _t_alpha(alpha: float, nu: float) -> float:
-    # T_nu^{-1}(1 - alpha): the one-tail quantile every threshold scales.
+    # T_nu^{-1}(1 - alpha): the one-tail quantile every threshold scales,
+    # as -T_nu^{-1}(alpha), since 1 - alpha would round alpha's bits away.
     _check_alpha(alpha)
-    return t_quantile(1.0 - alpha, nu)
+    return -t_quantile(alpha, nu)
 
 
 def point_p_value(z: float, n: int, nu: float) -> float:

@@ -333,7 +333,7 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise SolverFailure("stalled")
 
-        monkeypatch.setattr("distnull.cli.q_interval", boom)
+        monkeypatch.setattr("distnull.criterion.q_interval", boom)
         code, _, err = run(capsys, ["range", "--t", "5", "--nu", "19", "--n", "20"])
         assert code == 3
         assert "solver failure" in err
@@ -396,6 +396,27 @@ class TestExitCodes:
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "underflowed" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["test", "--t=inf", "--nu", "19", "--n", "20", "--q", "0.1"],
+            ["replicate", "--t=-inf", "--nu", "19", "--n", "20", "--q", "0.1"],
+            ["range", "--t=nan", "--nu", "19", "--n", "20"],
+            ["simulate", "--mode", "replication", "--t=inf", "--n", "20", "--q-true", "0.1"],
+        ],
+    )
+    def test_non_finite_t_names_the_flag(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --t must be finite")
+
+    def test_alpha_below_float_spacing_at_one(self, capsys):
+        # -scipy.special.stdtrit(19, 1e-17), frozen; 1 - 1e-17 rounds to 1
+        argv = ["test", "--t", "2.5", "--nu", "19", "--n", "20", "--q", "0", "--alpha=1e-17"]
+        doc, _ = run_json(capsys, argv)
+        for key in ("point_t_crit", "dist_t_crit"):
+            assert doc["result"][key] == pytest.approx(29.83939865840545, rel=1e-12), key
 
     def test_version(self, capsys):
         code, out, err = run(capsys, ["--version"])

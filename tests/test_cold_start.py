@@ -1,4 +1,5 @@
-"""Start-up cost: numpy loads only for the subcommands and modules that use it.
+"""Start-up cost: each import and subcommand loads only the layers it uses,
+and numpy only where one of those needs it.
 
 Each case runs in a fresh interpreter, since an import made by any other
 test would otherwise already sit in ``sys.modules``.
@@ -16,13 +17,20 @@ import distnull
 
 SRC = str(Path(distnull.__file__).resolve().parent.parent)
 
+# What the lines before it loaded: numpy, and distnull's submodules.
+REPORT = """
+import json, sys
+layers = sorted(name.split(".")[1] for name in sys.modules if name.startswith("distnull."))
+print(json.dumps({"numpy": "numpy" in sys.modules, "layers": layers}))
+"""
+
 # Runs the CLI the way the console script does, then reports on a last line.
 CLI_CHILD = """\
 import json, sys
 import distnull.cli
 code = distnull.cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
-"""
+print(json.dumps({"code": code}))
+""" + REPORT
 
 
 def _python(code: str, *args: str) -> subprocess.CompletedProcess:
@@ -39,40 +47,67 @@ def _python(code: str, *args: str) -> subprocess.CompletedProcess:
     return proc
 
 
+def _report(proc: subprocess.CompletedProcess) -> dict:
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def _cli(argv: list[str]) -> dict:
-    return json.loads(_python(CLI_CHILD, *argv).stdout.splitlines()[-1])
+    lines = _python(CLI_CHILD, *argv).stdout.splitlines()
+    return {**json.loads(lines[-2]), **json.loads(lines[-1])}
+
+
+BARE = ["cli", "errors"]
+CLOSED_FORM = ["cli", "distributional", "errors", "point", "special"]
+CRITERION = ["cli", "criterion", "errors", "point", "special"]
 
 
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, code, layers",
     [
-        (["test", "--t", "2.5", "--nu", "19", "--n", "20", "--q", "0.1"], 0),
+        (["test", "--t", "2.5", "--nu", "19", "--n", "20", "--q", "0.1"], 0, CLOSED_FORM),
         (["replicate", "--t", "2.5", "--nu", "19", "--n", "20", "--q", "0.1",
-          "--format", "json"], 0),
-        (["range", "--t", "5.2", "--nu", "19", "--n", "20", "--format", "csv"], 0),
-        (["thumb", "--nu", "19"], 0),
-        (["test", "--n", "20"], 2),
-        (["thumb", "--nu", "0"], 2),
-        (["--help"], 0),
-        (["--version"], 0),
+          "--format", "json"], 0, CLOSED_FORM),
+        (["range", "--t", "5.2", "--nu", "19", "--n", "20", "--format", "csv"], 0, CRITERION),
+        (["thumb", "--nu", "19"], 0, CRITERION),
+        (["test", "--n", "20"], 2, BARE),
+        (["thumb", "--nu", "0"], 2, CRITERION),
+        (["--help"], 0, BARE),
+        (["--version"], 0, BARE),
     ],
     ids=["test", "replicate", "range", "thumb", "usage-error", "domain-error", "help", "version"],
 )
-def test_closed_form_subcommands_skip_numpy(argv, code):
-    assert _cli(argv) == {"code": code, "numpy": False}
+def test_closed_form_subcommands_skip_numpy(argv, code, layers):
+    assert _cli(argv) == {"code": code, "numpy": False, "layers": layers}
 
 
 def test_qest_and_simulate_load_numpy(tmp_path):
     data = tmp_path / "data.csv"
     data.write_text("site,measure,value\na,m,1\na,m,2\nb,m,2\nb,m,5\n", encoding="utf-8")
-    assert _cli(["qest", "--data", str(data)]) == {"code": 0, "numpy": True}
+    qest = _cli(["qest", "--data", str(data)])
+    assert qest == {"code": 0, "numpy": True, "layers": ["cli", "errors", "varratio"]}
     simulate = ["simulate", "--n", "20", "--q-true", "0", "--trials", "2000"]
-    assert _cli(simulate) == {"code": 0, "numpy": True}
+    assert _cli(simulate) == {"code": 0, "numpy": True, "layers": sorted([*CLOSED_FORM, "mc"])}
 
 
 def test_package_import_skips_numpy():
-    proc = _python("import sys, distnull; print('numpy' in sys.modules)")
-    assert proc.stdout.strip() == "False"
+    assert _report(_python("import distnull" + REPORT)) == {"numpy": False, "layers": []}
+
+
+# A name loads the layers up to its own, in dependency order.
+@pytest.mark.parametrize(
+    "statement, numpy, layers",
+    [
+        ("from distnull import t_cdf", False, ["errors", "special"]),
+        ("from distnull import DistributionalNull", False,
+         ["distributional", "errors", "point", "special"]),
+        ("from distnull import cli", False, ["cli", "errors"]),
+        ("from distnull import summarize", True,
+         ["criterion", "distributional", "errors", "point", "special", "varratio"]),
+    ],
+    ids=["special", "distributional", "cli", "varratio"],
+)
+def test_import_loads_only_the_layers_it_needs(statement, numpy, layers):
+    assert _report(_python(statement + REPORT)) == {"numpy": numpy, "layers": layers}
 
 
 # Each check starts from a bare ``import distnull``, with nothing else loaded.

@@ -122,6 +122,15 @@ class TestRCrit:
         for qi, ri in zip(q, curve):
             assert ri == pytest.approx(r_crit(C_HIGH, 19, 20, float(qi)).r_q, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "call",
+        [r_crit, t_rep, lambda c, nu, n, q: r_curve(c, nu, n, np.array([1.0, q]))],
+        ids=["r_crit", "t_rep", "r_curve"],
+    )
+    def test_overflowing_qn_rejected(self, call):
+        with pytest.raises(DomainError, match=r"q \* n must be finite"):
+            call(C_HALF, 19.0, 2**1022, 1e20)
+
     def test_curve_rejects_bad_q(self):
         with pytest.raises(DomainError):
             r_curve(C_HALF, 19, 20, np.array([0.1, 0.0]))

@@ -1,4 +1,8 @@
-"""Each public threshold call inverts T_nu^{-1}(1 - alpha) exactly once."""
+"""Each public threshold call inverts the alpha tail exactly once.
+
+T_nu^{-1}(1 - alpha) is formed as -T_nu^{-1}(alpha), so the call asks for
+p = alpha itself and tiny alpha keeps its bits.
+"""
 
 import sys
 
@@ -45,10 +49,10 @@ def inverted(monkeypatch):
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_one_alpha_inversion_per_call(name, inverted):
     CALLS[name]()
-    assert inverted.count(1.0 - ALPHA) == 1
+    assert inverted.count(ALPHA) == 1
 
 
 @pytest.mark.parametrize("t1, outcome", [(8.0, QInterval), (1.0, NoSolution)])
 def test_q_interval_inverts_each_quantile_once(t1, outcome, inverted):
     assert isinstance(criterion.q_interval(t1, CRITERIA, NU, N), outcome)
-    assert sorted(inverted) == [CRITERIA.beta, 1.0 - ALPHA]
+    assert sorted(inverted) == [ALPHA, CRITERIA.beta]

@@ -46,6 +46,30 @@ def test_z_crit_frozen_value():
     )
 
 
+# -scipy.special.stdtrit(nu, alpha), frozen: T_nu^{-1}(1 - alpha) for alpha
+# at or below the spacing of floats next to 1, where 1 - alpha loses bits.
+TINY_ALPHA_T_CRIT = [
+    (1e-12, 5.0, 393.95695957760375),
+    (1e-12, 19.0, 15.884838733726818),
+    (1e-12, 1000.0, 7.124228925314409),
+    (1e-15, 5.0, 1568.3911928228774),
+    (1e-15, 19.0, 23.268048548241097),
+    (1e-15, 1000.0, 8.070281832298525),
+    (1e-17, 5.0, 3939.6234445579057),
+    (1e-17, 19.0, 29.83939865840545),
+    (1e-17, 1000.0, 8.65154413166219),
+    (1e-100, 5.0, 1.5683925590993378e20),
+    (1e-100, 19.0, 704008.5470071809),
+    (1e-100, 1000.0, 23.930617087826437),
+]
+
+
+@pytest.mark.parametrize("alpha, nu, expected", TINY_ALPHA_T_CRIT)
+def test_t_crit_keeps_tiny_alpha(alpha, nu, expected):
+    # N = 4: z_crit = t_crit / 2 and back are exact
+    assert point_test(0.0, 4, nu, alpha).t_crit == pytest.approx(expected, rel=1e-12)
+
+
 def test_z_crit_decreases_with_n():
     values = [point_z_crit(0.05, n, 9) for n in (2, 5, 20, 100, 10_000)]
     assert all(a > b for a, b in zip(values, values[1:]))
