@@ -274,7 +274,7 @@ def _cmd_qest(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int
         dataset = varratio.restrict(dataset, _site_predicate(args.sites))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        table = varratio._cell_table(dataset, dataset.measures, args.ddof)
+        table = varratio._cell_table(dataset, dataset.measures)
         rows = varratio._pool(table, groups)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
@@ -432,7 +432,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_qest.add_argument("--groups", default=None, help="measure-group INI path")
     p_qest.add_argument("--sites", default=None, help="comma-separated site ids to keep")
     p_qest.add_argument("--min-cell-n", dest="min_cell_n", type=int, default=2)
-    p_qest.add_argument("--ddof", type=int, choices=[0, 1], default=1)
     p_qest.add_argument("--cells-out", dest="cells_out", default=None)
     p_qest.add_argument("--hist-out", dest="hist_out", default=None)
     p_qest.set_defaults(func=_cmd_qest)

@@ -83,9 +83,9 @@ def point_z_crit(alpha: float, n: int, nu: float) -> float:
 
 def point_test(z: float, n: int, nu: float, alpha: float = 0.05) -> PointTestReport:
     """Full point-form report for a standardized effect z."""
-    z_crit = point_z_crit(alpha, n, nu)
+    t_crit = _t_alpha(alpha, nu)
+    z_crit = t_crit / math.sqrt(_check_n(n))
     t_stat = z * math.sqrt(n)
-    t_crit = z_crit * math.sqrt(n)
     return PointTestReport(
         t_stat=t_stat,
         nu=float(nu),

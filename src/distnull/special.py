@@ -23,7 +23,7 @@ import sys
 
 from .errors import DomainError, SolverFailure
 
-__all__ = ["reg_inc_beta", "t_cdf", "t_quantile", "normal_cdf"]
+__all__ = ["t_cdf", "t_quantile", "normal_cdf"]
 
 # Continued fraction controls.  _CF_EPS is the relative convergence
 # target; _CF_TINY floors near-zero denominators in the Lentz recurrence.
@@ -75,40 +75,6 @@ def _betacf(a: float, b: float, x: float) -> float:
     )
 
 
-def _log_beta(a: float, b: float) -> float:
-    # ln B(a, b); lgamma overflows once a or b passes about 2.5e305, and
-    # has a pole at 0, where nu / 2 lands for nu = 5e-324.
-    try:
-        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    except OverflowError:
-        raise DomainError(f"ln B(a, b) overflows at a={a}, b={b}") from None
-    except ValueError:
-        raise DomainError(
-            f"ln B(a, b) is infinite at a={a}, b={b}: a shape underflowed to 0"
-        ) from None
-
-
-def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta function I_x(a, b).
-
-    Monotone nondecreasing in x with I_0 = 0 and I_1 = 1.
-    """
-    if not (a > 0.0 and b > 0.0 and math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"shape parameters must be positive, got a={a}, b={b}")
-    if not (0.0 <= x <= 1.0):
-        raise DomainError(f"x must lie in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b)
-    front = math.exp(ln_front)
-    # Use the fraction directly where it converges fast, else via symmetry.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def _check_nu(nu: float) -> float:
     if not (nu > 0.0 and math.isfinite(nu)):
         raise DomainError(f"degrees of freedom must be positive and finite, got {nu}")
@@ -116,10 +82,16 @@ def _check_nu(nu: float) -> float:
 
 
 def _log_beta_half(a: float) -> float:
-    # ln B(a, 1/2).  From a = 20 on, the Stirling series for ln Gamma(a) /
-    # Gamma(a + 1/2) is good to 3.4e-15, and does not cancel or overflow.
+    # ln B(a, 1/2): lgamma below a = 20 (its pole at 0 is where nu = 5e-324
+    # puts a); from there the Stirling series for ln Gamma(a) / Gamma(a + 1/2)
+    # is good to 3.4e-15, and does not cancel or overflow.
     if a < 20.0:
-        return _log_beta(a, 0.5)
+        try:
+            return math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
+        except ValueError:
+            raise DomainError(
+                f"ln B(a, b) is infinite at a={a}, b=0.5: a shape underflowed to 0"
+            ) from None
     r = 1.0 / (a * a)
     return 0.5 * math.log(math.pi / a) + (
         ((-17.0 / 14336.0 * r + 1.0 / 640.0) * r - 1.0 / 192.0) * r + 0.125

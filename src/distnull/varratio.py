@@ -7,11 +7,11 @@ measure (between-site) divided by the cell's own sample variance
 empirical quantiles of the pooled q values, which is the shape of
 evidence needed to pick a defensible q for the distributional tests.
 
-Conventions, since the underlying procedure leaves them open: variances
-use the unbiased n-1 denominator by default (``ddof=1``; pass 0 for the
-population form), between-site variance weights every site mean equally
-regardless of cell size, and quantiles interpolate linearly between
-order statistics (the "type 7" rule, numpy's default).
+Conventions, since the underlying procedure leaves them open: both
+variances use the unbiased n-1 denominator, between-site variance
+weights every site mean equally regardless of cell size, and quantiles
+interpolate linearly between order statistics (the "type 7" rule,
+numpy's default).
 """
 
 from __future__ import annotations
@@ -80,9 +80,9 @@ class IngestReport:
     """Diagnostics from building a dataset.
 
     ``bad_rows`` holds (line number, reason) for rows that failed to
-    parse; ``dropped_cells`` holds (measure, site, count) for cells
-    below the observation threshold; ``dropped_measures`` lists measures
-    left with fewer than two qualifying sites.
+    parse; ``dropped_cells`` holds (measure, site, count) for each cell
+    below the observation threshold and each cell of a dropped measure;
+    ``dropped_measures`` lists measures left with fewer than two qualifying sites.
     """
 
     rows_read: int = 0
@@ -140,11 +140,6 @@ class MultiSiteDataset:
 def _check_min_cell_n(min_cell_n: int) -> None:
     if min_cell_n < 2:
         raise DomainError(f"min_cell_n must be >= 2 (a variance needs it), got {min_cell_n}")
-
-
-def _check_ddof(ddof: int) -> None:
-    if ddof not in (0, 1):
-        raise DomainError(f"ddof must be 0 or 1, got {ddof!r}")
 
 
 def _build(
@@ -284,15 +279,13 @@ class GroupSummary:
     q_hi: float
 
 
-def _variance(values: np.ndarray, ddof: int) -> float:
+def _variance(values: np.ndarray) -> float:
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan; _cell rejects it
-        return float(np.var(values, ddof=ddof))
+        return float(np.var(values, ddof=1))
 
 
-def _cell(
-    measure: str, site: str, values: np.ndarray, between: float, ddof: int
-) -> VarianceRatioCell:
-    within = _variance(values, ddof)
+def _cell(measure: str, site: str, values: np.ndarray, between: float) -> VarianceRatioCell:
+    within = _variance(values)
     if within == 0.0:
         raise DegenerateSampleError(
             f"cell ({measure!r}, {site!r}) has zero within-site variance"
@@ -312,9 +305,7 @@ def _cell(
     )
 
 
-def cell_q(
-    dataset: MultiSiteDataset, measure: str, site: str, ddof: int = 1
-) -> VarianceRatioCell:
+def cell_q(dataset: MultiSiteDataset, measure: str, site: str) -> VarianceRatioCell:
     """Variance ratio for one cell.
 
     Parameters
@@ -322,16 +313,14 @@ def cell_q(
     dataset : MultiSiteDataset
     measure, site : str
         Cell coordinates; the cell must exist in the dataset.
-    ddof : int
-        Variance denominator correction, 1 (unbiased, default) or 0.
 
     Returns
     -------
     VarianceRatioCell
-        ``within_var`` is the sample variance of the cell's values;
-        ``between_var`` is the variance of the per-site means of this
-        measure across all of its qualifying sites, each site weighted
-        equally; ``q`` is their ratio.
+        ``within_var`` is the sample variance of the cell's values and
+        ``between_var`` that of the per-site means of this measure across
+        all of its qualifying sites, each site weighted equally, both with
+        the n-1 denominator; ``q`` is their ratio.
 
     Raises
     ------
@@ -339,33 +328,30 @@ def cell_q(
         If the cell's values are all equal (within_var = 0, q undefined),
         or a variance or q overflows a float.
     """
-    _check_ddof(ddof)
-    values = dataset.values(measure, site)
-    between = _variance(dataset.site_means(measure), ddof)
-    return _cell(measure, site, values, between, ddof)
+    between = _variance(dataset.site_means(measure))
+    return _cell(measure, site, dataset.values(measure, site), between)
 
 
 def _cell_table(
-    dataset: MultiSiteDataset, measures: Iterable[str], ddof: int
+    dataset: MultiSiteDataset, measures: Iterable[str]
 ) -> dict[str, list[VarianceRatioCell]]:
     # Every cell once, with one between-site variance per measure.  all_cells
     # and summarize call this directly, so stacklevel=3 names their caller.
     table: dict[str, list[VarianceRatioCell]] = {}
     for measure in measures:
-        between = _variance(dataset.site_means(measure), ddof)
+        between = _variance(dataset.site_means(measure))
         cells = table[measure] = []
         for site in dataset.sites(measure):
             try:
-                cells.append(_cell(measure, site, dataset.values(measure, site), between, ddof))
+                cells.append(_cell(measure, site, dataset.values(measure, site), between))
             except DegenerateSampleError as exc:
                 warnings.warn(f"skipping degenerate cell: {exc}", stacklevel=3)
     return table
 
 
-def all_cells(dataset: MultiSiteDataset, ddof: int = 1) -> list[VarianceRatioCell]:
+def all_cells(dataset: MultiSiteDataset) -> list[VarianceRatioCell]:
     """Every computable cell ratio; degenerate cells are skipped with a warning."""
-    _check_ddof(ddof)
-    table = _cell_table(dataset, dataset.measures, ddof)
+    table = _cell_table(dataset, dataset.measures)
     return [cell for cells in table.values() for cell in cells]
 
 
@@ -422,7 +408,6 @@ def summarize(
     dataset: MultiSiteDataset,
     groups: list[MeasureGroupSpec] | None = None,
     site_filter: Callable[[str], bool] | None = None,
-    ddof: int = 1,
 ) -> list[GroupSummary]:
     """Grouped quantile summary of the pooled per-cell variance ratios.
 
@@ -436,8 +421,6 @@ def summarize(
         Predicate on site identifiers; when given, the whole analysis
         (between-site variances included) is recomputed on the
         restricted dataset.
-    ddof : int
-        Variance denominator correction for both variances.
 
     Returns
     -------
@@ -447,14 +430,13 @@ def summarize(
         every group when there are at least two.  Groups with no
         computable cells are dropped with a warning.
     """
-    _check_ddof(ddof)
     if site_filter is not None:
         dataset = restrict(dataset, site_filter)
     measures = dataset.measures
     if groups is not None:
         _check_disjoint(groups)
         measures = [m for spec in groups for m in spec.measures if m in measures]
-    return _pool(_cell_table(dataset, measures, ddof), groups)
+    return _pool(_cell_table(dataset, measures), groups)
 
 
 def _pool(

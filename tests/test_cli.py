@@ -101,6 +101,10 @@ def test_q_zero_reduces_to_the_point_test(capsys):
     assert result["dist_p_value"] == pytest.approx(result["point_p_value"], abs=1e-13)
     assert result["dist_t_crit"] == pytest.approx(result["point_t_crit"], rel=1e-13)
     assert result["asymptotic_z_bound"] == 0.0
+    # Both critical values are T^-1(1 - alpha) itself, not one of them
+    # divided by sqrt(N) and multiplied back.
+    doc, _ = run_json(capsys, ["test", "--t=2.5", "--nu=19", "--n=20", "--q=0"])
+    assert doc["result"]["point_t_crit"] == doc["result"]["dist_t_crit"]
 
 
 def test_precomputed_t_input(capsys):
@@ -247,10 +251,23 @@ class TestExitCodes:
              "--mean2", "0.5", "--q", "0"],
         )
         assert code == 2
+        code, out, err = run(
+            capsys,
+            ["test", "--design", "two-sample", "--n", "8", "--mean", "1", "--sd", "1",
+             "--mean2", "0.5", "--q", "0"],
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: two-sample input needs both --mean2 and --sd2")
 
-    def test_unknown_format(self, capsys):
+    def test_unknown_format(self, capsys, tmp_path):
         assert main(["thumb", "--nu", "10", "--format", "xml"]) == 2
         capsys.readouterr()
+        # argparse checks the flag; the config value is checked after it
+        path = tmp_path / "cfg.ini"
+        path.write_text("[defaults]\nformat = xml\n")
+        code, out, err = run(capsys, ["thumb", "--nu", "10", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown format 'xml'")
 
     def test_non_utf8_input(self, capsys, tmp_path):
         data = tmp_path / "data.csv"
@@ -460,6 +477,10 @@ class TestQest:
         )
         assert code == 0
         assert out.splitlines() == ["group,datapoints,mean_q,q025,q975"]
+        # a filter that names no site at all is a usage error
+        code, out, err = run(capsys, ["qest", "--data", data_path, "--sites", ","])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --sites lists no site identifiers")
 
     def test_site_filter_keeps_qualifying_sites(self, capsys, data_path):
         code, out, _ = run(

@@ -91,7 +91,6 @@ def run_bounded(argv):
     odd_rows=ODD_ROWS,
     min_cell_n=st.sampled_from(["0", "1", "2", "3"]),
     sites=st.none() | st.sampled_from(["a", "a,b", "a,b,c", ",", "zz", "a b,é"]),
-    ddof=st.sampled_from(["0", "1"]),
     fmt=st.none() | st.sampled_from(["json", "csv", "human"]),
     cells_out=st.booleans(),
     hist_out=st.booleans(),
@@ -100,10 +99,10 @@ def run_bounded(argv):
 @example(
     cells=[("a", "w", ["0", "0", "0"]), ("a", "w", ["1e308", "-1e308"]),
            ("b", "w", ["0", "0"]), ("a", "w", ["0", "1e308", "-1e308"])],
-    odd_rows=[], min_cell_n="2", sites=None, ddof="1", fmt=None, cells_out=False,
+    odd_rows=[], min_cell_n="2", sites=None, fmt=None, cells_out=False,
     hist_out=False,
 )
-def test_qest(cells, odd_rows, min_cell_n, sites, ddof, fmt, cells_out, hist_out):
+def test_qest(cells, odd_rows, min_cell_n, sites, fmt, cells_out, hist_out):
     rows = [(site, measure, v) for site, measure, values in cells for v in values] + odd_rows
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "data.csv"
@@ -111,7 +110,7 @@ def test_qest(cells, odd_rows, min_cell_n, sites, ddof, fmt, cells_out, hist_out
             writer = csv.writer(fh)
             writer.writerow(["site", "measure", "value"])
             writer.writerows(rows)
-        argv = ["qest", "--data", str(data), "--min-cell-n", min_cell_n, "--ddof", ddof]
+        argv = ["qest", "--data", str(data), "--min-cell-n", min_cell_n]
         if sites is not None:
             argv += ["--sites", sites]
         if fmt is not None:

@@ -26,9 +26,9 @@ from distnull.varratio import (
 
 # independent brute-force definitions the fast paths are checked against
 
-def manual_variance(values, ddof=1):
+def manual_variance(values):
     mean = sum(values) / len(values)
-    return sum((v - mean) ** 2 for v in values) / (len(values) - ddof)
+    return sum((v - mean) ** 2 for v in values) / (len(values) - 1)
 
 
 def manual_quantile(values, p):
@@ -205,17 +205,12 @@ class TestCellQ:
         assert cell.within_var == 4.0
         assert cell.q == 0.25
         assert cell_q(dataset, "m", "A").q == 1.0
-
-    def test_ddof_zero(self):
+        # means 0 and 2, within 1: both variances take the n-1 denominator
         rows = [rec("A", "m", v) for v in (-1, 0, 1)] + [
             rec("B", "m", v) for v in (1, 2, 3)
         ]
         dataset, _ = ingest(rows)
-        # means 0 and 2: between is 2 unbiased, 1 population
-        assert cell_q(dataset, "m", "A", ddof=1).q == pytest.approx(2.0, rel=1e-15)
-        assert cell_q(dataset, "m", "A", ddof=0).q == pytest.approx(1.5, rel=1e-15)
-        with pytest.raises(DomainError):
-            cell_q(dataset, "m", "A", ddof=2)
+        assert cell_q(dataset, "m", "A").q == pytest.approx(2.0, rel=1e-15)
 
     def test_degenerate_cell(self):
         rows = hand_records() + [rec("D", "m", 5.0), rec("D", "m", 5.0)]
@@ -437,6 +432,8 @@ measures = misc
     def test_empty_measures_rejected(self):
         with pytest.raises(DataFormatError):
             load_groups(io.StringIO("[g]\nmeasures =\n"))
+        with pytest.raises(DomainError, match="lists no measures"):
+            MeasureGroupSpec("g", ())
 
     def test_duplicate_measure_rejected(self):
         text = "[a]\nmeasures = x\n[b]\nmeasures = x y\n"
