@@ -176,28 +176,28 @@ def _resolve_stats(args: argparse.Namespace) -> tuple[float, float, int]:
 
 def _cmd_test(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int:
     from .distributional import DistributionalNull, dist_test_from_t
-    from .point import point_test
 
     alpha = _setting(args, config, "alpha", float)
     t1, nu, n = _resolve_stats(args)
     null = DistributionalNull(args.q)
-    z1 = t1 / math.sqrt(n)
-    point = point_test(z1, n, nu, alpha)
+    # The point-form null is the distributional null at q = 0.
+    point = dist_test_from_t(t1, nu, n, DistributionalNull(0.0), alpha)
     dist = dist_test_from_t(t1, nu, n, null, alpha)
+    root_n = math.sqrt(n)
     result = {
         "alpha": alpha,
         "q": args.q,
         "n": n,
         "nu": nu,
         "t": t1,
-        "z": z1,
+        "z": t1 / root_n,
         "point_p_value": point.p_value,
-        "point_z_crit": point.z_crit,
+        "point_z_crit": point.t_crit / root_n,
         "point_t_crit": point.t_crit,
         "point_significant": point.significant,
         "dist_p_value": dist.p_value,
         "dist_t_crit": dist.t_crit,
-        "dist_z_crit": dist.t_crit / math.sqrt(n),
+        "dist_z_crit": dist.t_crit / root_n,
         "dist_significant": dist.significant,
         "asymptotic_z_bound": dist.asymptotic_bound_z,
     }
@@ -254,6 +254,8 @@ def _site_predicate(spec: str):
 
 
 def _cmd_qest(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int:
+    import dataclasses
+
     from . import varratio
 
     dataset, report = varratio.load_csv(args.data, min_cell_n=args.min_cell_n)
@@ -274,22 +276,12 @@ def _cmd_qest(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int
         dataset = varratio.restrict(dataset, _site_predicate(args.sites))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        table = varratio._cell_table(dataset, dataset.measures)
-        rows = varratio._pool(table, groups)
+        cells, rows = varratio.qest(dataset, groups)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
+    # GroupSummary's fields, in order, under the output's column names.
     columns = ["group", "datapoints", "mean_q", "q025", "q975"]
-    row_dicts = [
-        {
-            "group": r.group,
-            "datapoints": r.datapoints,
-            "mean_q": r.mean_q,
-            "q025": r.q_lo,
-            "q975": r.q_hi,
-        }
-        for r in rows
-    ]
-    cells = [cell for per_measure in table.values() for cell in per_measure]
+    row_dicts = [dict(zip(columns, dataclasses.astuple(r))) for r in rows]
     # The histogram goes first: it may refuse q, and then nothing is written.
     if args.hist_out:
         varratio.write_histogram_csv([c.q for c in cells], args.hist_out)

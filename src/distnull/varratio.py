@@ -43,6 +43,7 @@ __all__ = [
     "all_cells",
     "restrict",
     "summarize",
+    "qest",
     "write_cells_csv",
     "write_histogram_csv",
 ]
@@ -95,12 +96,12 @@ class IngestReport:
 class MultiSiteDataset:
     """Validated (measure, site) cells of measurement values.
 
-    Every stored cell has at least ``min_cell_n`` observations and every
-    stored measure appears at two or more sites.  Cell values are kept
+    ``ingest`` and ``load_csv`` keep only cells of at least ``min_cell_n``
+    observations and measures at two or more sites.  Cell values are kept
     sorted, so datasets built from permuted record streams are identical.
     """
 
-    def __init__(self, cells: dict[str, dict[str, np.ndarray]], min_cell_n: int):
+    def __init__(self, cells: dict[str, dict[str, np.ndarray]]):
         self._cells = {
             measure: {
                 site: np.sort(np.asarray(values, dtype=float))
@@ -108,7 +109,6 @@ class MultiSiteDataset:
             }
             for measure, sites in sorted(cells.items())
         }
-        self.min_cell_n = min_cell_n
 
     @property
     def measures(self) -> tuple[str, ...]:
@@ -166,7 +166,7 @@ def _build(
             f"at least {min_cell_n} observations each"
         )
     report.rows_used = sum(len(v) for sites in kept.values() for v in sites.values())
-    return MultiSiteDataset(kept, min_cell_n)
+    return MultiSiteDataset(kept)
 
 
 def ingest(
@@ -296,13 +296,7 @@ def _cell(measure: str, site: str, values: np.ndarray, between: float) -> Varian
             f"cell ({measure!r}, {site!r}) is beyond float range: within-site "
             f"variance {within!r}, between-site variance {between!r}, q {q!r}"
         )
-    return VarianceRatioCell(
-        measure=measure,
-        site=site,
-        within_var=within,
-        between_var=between,
-        q=q,
-    )
+    return VarianceRatioCell(measure, site, within, between, q)
 
 
 def cell_q(dataset: MultiSiteDataset, measure: str, site: str) -> VarianceRatioCell:
@@ -335,8 +329,8 @@ def cell_q(dataset: MultiSiteDataset, measure: str, site: str) -> VarianceRatioC
 def _cell_table(
     dataset: MultiSiteDataset, measures: Iterable[str]
 ) -> dict[str, list[VarianceRatioCell]]:
-    # Every cell once, with one between-site variance per measure.  all_cells
-    # and summarize call this directly, so stacklevel=3 names their caller.
+    # Every cell once, with one between-site variance per measure.  all_cells,
+    # summarize and qest call this directly, so stacklevel=3 names their caller.
     table: dict[str, list[VarianceRatioCell]] = {}
     for measure in measures:
         between = _variance(dataset.site_means(measure))
@@ -373,7 +367,7 @@ def restrict(
         }
         if len(sites) >= 2:
             kept[measure] = sites
-    return MultiSiteDataset(kept, dataset.min_cell_n)
+    return MultiSiteDataset(kept)
 
 
 def _summary_row(group: str, qs: list[float]) -> GroupSummary:
@@ -383,13 +377,7 @@ def _summary_row(group: str, qs: list[float]) -> GroupSummary:
         mean = float(arr.mean())
     if not math.isfinite(mean):  # the sum overflowed; the mean is at most max(q)
         mean = float(np.sum(arr / arr.size))
-    return GroupSummary(
-        group=group,
-        datapoints=len(qs),
-        mean_q=mean,
-        q_lo=float(lo),
-        q_hi=float(hi),
-    )
+    return GroupSummary(group, len(qs), mean, float(lo), float(hi))
 
 
 def _check_disjoint(groups: list[MeasureGroupSpec]) -> None:
@@ -439,11 +427,25 @@ def summarize(
     return _pool(_cell_table(dataset, measures), groups)
 
 
+def qest(
+    dataset: MultiSiteDataset, groups: list[MeasureGroupSpec] | None = None
+) -> tuple[list[VarianceRatioCell], list[GroupSummary]]:
+    """``(all_cells(dataset), summarize(dataset, groups))``, each cell computed once.
+
+    Warns as those two calls would, in that order, except that a degenerate
+    cell is reported once, not again for its group.
+    """
+    if groups is not None:
+        _check_disjoint(groups)
+    table = _cell_table(dataset, dataset.measures)
+    return [cell for cells in table.values() for cell in cells], _pool(table, groups)
+
+
 def _pool(
     table: dict[str, list[VarianceRatioCell]], groups: list[MeasureGroupSpec] | None
 ) -> list[GroupSummary]:
     # summarize's rows from a table holding each dataset measure the groups name;
-    # summarize calls this directly, so stacklevel=3 names its caller.
+    # summarize and qest call this directly, so stacklevel=3 names their caller.
     if groups is None:
         groups = [MeasureGroupSpec(group=m, measures=(m,)) for m in table]
     rows: list[GroupSummary] = []

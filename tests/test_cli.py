@@ -101,10 +101,11 @@ def test_q_zero_reduces_to_the_point_test(capsys):
     assert result["dist_p_value"] == pytest.approx(result["point_p_value"], abs=1e-13)
     assert result["dist_t_crit"] == pytest.approx(result["point_t_crit"], rel=1e-13)
     assert result["asymptotic_z_bound"] == 0.0
-    # Both critical values are T^-1(1 - alpha) itself, not one of them
-    # divided by sqrt(N) and multiplied back.
+    # The point columns are the distributional test at q = 0, from t itself,
+    # not from t divided by sqrt(N) and multiplied back.
     doc, _ = run_json(capsys, ["test", "--t=2.5", "--nu=19", "--n=20", "--q=0"])
     assert doc["result"]["point_t_crit"] == doc["result"]["dist_t_crit"]
+    assert doc["result"]["point_p_value"] == doc["result"]["dist_p_value"]
 
 
 def test_precomputed_t_input(capsys):
@@ -561,6 +562,40 @@ class TestQest:
         assert code == 0
         assert err.count("skipping degenerate cell") == 1
         assert "warning: skipping degenerate cell: cell ('other', 'lab2')" in err
+
+    def test_whole_stderr_in_order(self, capsys, tmp_path):
+        data = tmp_path / "messy.csv"
+        data.write_text(
+            DATA_CSV.replace("lab2,gains,1.0", "lab2,gains,oops\nlab2,gains,1.0")
+            + "lab3,anchoring,7\nlab3,anchoring,7\nlab4,anchoring,3\n"
+            + "lab1,other,1\nlab1,other,2\nlab2,other,5\nlab2,other,5\n"
+            + "only,solo,1\nonly,solo,2\n",
+            encoding="utf-8",
+        )
+        groups = tmp_path / "groups.ini"
+        groups.write_text(
+            GROUPS_INI.replace("= anchoring", "= anchoring ghost")
+            + "\n[void]\nmeasures = absent\n",
+            encoding="utf-8",
+        )
+        argv = ["qest", "--data", str(data), "--groups", str(groups), "--format", "csv"]
+        code, out, err = run(capsys, argv)
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()] == [
+            "group", "first", "second", "all 1", "all",
+        ]
+        assert err.splitlines() == [
+            f"warning: {data} line 8: could not convert string to float: 'oops'",
+            "warning: cell (anchoring, lab4) dropped: 1 observation(s) < 2",
+            "warning: measure solo dropped: fewer than 2 sites",
+            "warning: skipping degenerate cell: cell ('anchoring', 'lab3') has zero "
+            "within-site variance",
+            "warning: skipping degenerate cell: cell ('other', 'lab2') has zero "
+            "within-site variance",
+            "warning: group 'first': measure 'ghost' not in dataset",
+            "warning: group 'void': measure 'absent' not in dataset",
+            "warning: group 'void' is empty; row omitted",
+        ]
 
     @pytest.fixture
     def overflow_run(self, capsys, tmp_path):

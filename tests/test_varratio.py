@@ -17,6 +17,7 @@ from distnull.varratio import (
     ingest,
     load_csv,
     load_groups,
+    qest,
     restrict,
     summarize,
     write_cells_csv,
@@ -327,6 +328,9 @@ class TestSummarize:
         assert pooled.datapoints == out[0].datapoints + out[1].datapoints
         grand = out[-1]
         assert grand.datapoints == sum(r.datapoints for r in out[:3])
+        # qest pools the same rows from every cell, m3's too when no group names it
+        for given in (None, groups[:2]):
+            assert qest(dataset, given) == (all_cells(dataset), summarize(dataset, given))
 
     def test_single_group_has_no_grand_row(self):
         dataset, _ = ingest(hand_records())
@@ -377,8 +381,9 @@ class TestSummarize:
             MeasureGroupSpec(group="a", measures=("m",)),
             MeasureGroupSpec(group="b", measures=("m",)),
         ]
-        with pytest.raises(DomainError):
-            summarize(dataset, groups)
+        for run in (summarize, qest):
+            with pytest.raises(DomainError):
+                run(dataset, groups)
 
     def test_site_filter_recomputes_between_variance(self):
         dataset, _ = ingest(hand_records())
@@ -507,17 +512,16 @@ def test_between_variance_is_computed_once_per_measure(monkeypatch):
         return site_means(self, measure)
 
     monkeypatch.setattr(MultiSiteDataset, "site_means", counted)
-    all_cells(dataset)
-    assert calls == ["m"]
-    calls.clear()
-    summarize(dataset)
-    assert calls == ["m"]
+    for run in (all_cells, summarize, qest):
+        calls.clear()
+        run(dataset)
+        assert calls == ["m"]
 
 
 def test_degenerate_cell_warnings_name_the_caller():
     rows = hand_records() + [rec("D", "m", 5.0), rec("D", "m", 5.0)]
     dataset, _ = ingest(rows)
-    for run in (all_cells, summarize):
+    for run in (all_cells, summarize, qest):
         with pytest.warns(UserWarning, match="degenerate") as record:
             run(dataset)
         assert record[0].filename == __file__
@@ -526,12 +530,13 @@ def test_degenerate_cell_warnings_name_the_caller():
         MeasureGroupSpec(group="g", measures=("m", "ghost")),
         MeasureGroupSpec(group="void", measures=("absent",)),
     ]
-    with pytest.warns(UserWarning) as record:
-        summarize(dataset, groups)
-    assert sorted(str(w.message).split(":")[0] for w in record) == [
-        "group 'g'",
-        "group 'void'",
-        "group 'void' is empty; row omitted",
-        "skipping degenerate cell",
-    ]
-    assert all(w.filename == __file__ for w in record)
+    for run in (summarize, qest):
+        with pytest.warns(UserWarning) as record:
+            run(dataset, groups)
+        assert sorted(str(w.message).split(":")[0] for w in record) == [
+            "group 'g'",
+            "group 'void'",
+            "group 'void' is empty; row omitted",
+            "skipping degenerate cell",
+        ]
+        assert all(w.filename == __file__ for w in record)
