@@ -2,9 +2,12 @@
 
 Subcommands: test, replicate, range, qest, simulate, thumb.  Reports
 render as human-readable text, CSV, or versioned JSON (--format).
-Defaults for alpha, beta, seed, trials, q_ceiling, and format can come
-from an INI config file with a [defaults] section (--config); explicit
-flags always win.  Each subcommand imports only the layers it runs:
+Settings: format (every subcommand), alpha (all but qest), beta and
+q_ceiling (range), seed and trials (simulate).  Each comes from its flag,
+else from the [defaults] section of the INI file given by --config (keys
+spelt with underscores, values read literally, no % interpolation), else
+its built-in default.  A key the subcommand does not take is ignored,
+even if malformed.  Each subcommand imports only the layers it runs:
 test and replicate load point and distributional, range and thumb load
 criterion (with point), qest loads varratio and simulate loads mc (both
 with numpy).  --help, --version and usage errors import none of them.
@@ -32,14 +35,33 @@ _DESIGNS = {
     "two-sample": "TWO_SAMPLE_EQUAL_N",
 }
 
-_DEFAULTS = {
-    "alpha": 0.05,
-    "beta": 0.5,
-    "q_ceiling": 1e3,
-    "seed": 0,
-    "trials": 100_000,
-    "format": "human",
+_FORMATS = ("json", "csv", "human")
+
+
+def _format(value: str) -> str:
+    # Not a ValueError, so the message names the format rather than the key.
+    if value not in _FORMATS:
+        raise DataFormatError(f"unknown format {value!r}")
+    return value
+
+
+# Each value a flag or the config's [defaults] section may set: its built-in
+# default and the cast a config string goes through.  Format comes first, so
+# a bad format is reported before any other bad key; its flag is declared
+# with choices on every subcommand, the others by _add_settings.
+_SETTINGS = {
+    "format": ("human", _format),
+    "alpha": (0.05, float),
+    "beta": (0.5, float),
+    "q_ceiling": (1e3, float),
+    "seed": (0, int),
+    "trials": (100_000, int),
 }
+
+
+def _add_settings(sub: argparse.ArgumentParser, *keys: str) -> None:
+    for key in keys:
+        sub.add_argument("--" + key.replace("_", "-"), type=_SETTINGS[key][1], default=None)
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -47,7 +69,7 @@ def _load_config(path: str | None) -> dict[str, str]:
         return {}
     import configparser
 
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -58,23 +80,18 @@ def _load_config(path: str | None) -> dict[str, str]:
     return dict(parser["defaults"])
 
 
-def _setting(args: argparse.Namespace, config: dict[str, str], key: str, cast):
-    given = getattr(args, key, None)
-    if given is not None:
-        return given
-    if key in config:
-        try:
-            return cast(config[key])
-        except ValueError as exc:
-            raise DataFormatError(f"config key {key!r}: {exc}") from exc
-    return _DEFAULTS[key]
-
-
-def _pick_format(args: argparse.Namespace, config: dict[str, str]) -> str:
-    fmt = _setting(args, config, "format", str)
-    if fmt not in ("json", "csv", "human"):
-        raise DataFormatError(f"unknown format {fmt!r}")
-    return fmt
+def _resolve_settings(args: argparse.Namespace, config: dict[str, str]) -> None:
+    """Fill in each setting the subcommand takes that no flag gave: from
+    config, else the built-in default.  Keys it does not take are ignored."""
+    for key, (default, cast) in _SETTINGS.items():
+        if not hasattr(args, key) or getattr(args, key) is not None:
+            continue
+        if key in config:
+            try:
+                default = cast(config[key])
+            except ValueError as exc:
+                raise DataFormatError(f"config key {key!r}: {exc}") from exc
+        setattr(args, key, default)
 
 
 def _fmt_human(value) -> str:
@@ -174,18 +191,17 @@ def _resolve_stats(args: argparse.Namespace) -> tuple[float, float, int]:
     return t1, nu, args.n
 
 
-def _cmd_test(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int:
+def _cmd_test(args: argparse.Namespace) -> int:
     from .distributional import DistributionalNull, dist_test_from_t
 
-    alpha = _setting(args, config, "alpha", float)
     t1, nu, n = _resolve_stats(args)
     null = DistributionalNull(args.q)
     # The point-form null is the distributional null at q = 0.
-    point = dist_test_from_t(t1, nu, n, DistributionalNull(0.0), alpha)
-    dist = dist_test_from_t(t1, nu, n, null, alpha)
+    point = dist_test_from_t(t1, nu, n, DistributionalNull(0.0), args.alpha)
+    dist = dist_test_from_t(t1, nu, n, null, args.alpha)
     root_n = math.sqrt(n)
     result = {
-        "alpha": alpha,
+        "alpha": args.alpha,
         "q": args.q,
         "n": n,
         "nu": nu,
@@ -201,48 +217,44 @@ def _cmd_test(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int
         "dist_significant": dist.significant,
         "asymptotic_z_bound": dist.asymptotic_bound_z,
     }
-    _emit_result("test", result, fmt)
+    _emit_result("test", result, args.format)
     return 0
 
 
-def _cmd_replicate(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int:
+def _cmd_replicate(args: argparse.Namespace) -> int:
     from .distributional import DistributionalNull, replication_probability
     from .point import power_replication_estimate
 
-    alpha = _setting(args, config, "alpha", float)
     t1, nu, n = _resolve_stats(args)
     null = DistributionalNull(args.q)
     result = {
-        "alpha": alpha,
+        "alpha": args.alpha,
         "q": args.q,
         "n": n,
         "nu": nu,
         "t": t1,
-        "replication_probability": replication_probability(t1, alpha, nu, n, null),
-        "power_replication_estimate": power_replication_estimate(t1, alpha, nu),
+        "replication_probability": replication_probability(t1, args.alpha, nu, n, null),
+        "power_replication_estimate": power_replication_estimate(t1, args.alpha, nu),
     }
-    _emit_result("replicate", result, fmt)
+    _emit_result("replicate", result, args.format)
     return 0
 
 
-def _cmd_range(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int:
+def _cmd_range(args: argparse.Namespace) -> int:
     import dataclasses
 
     from .criterion import Criteria, NoSolution, q_interval, rule_of_thumb
 
-    alpha = _setting(args, config, "alpha", float)
-    beta = _setting(args, config, "beta", float)
-    q_ceiling = _setting(args, config, "q_ceiling", float)
-    criteria = Criteria(alpha=alpha, beta=beta)
-    outcome = q_interval(args.t, criteria, args.nu, args.n, q_ceiling)
-    result = {"alpha": alpha, "beta": beta, "n": args.n, "nu": args.nu, "t": args.t}
+    criteria = Criteria(alpha=args.alpha, beta=args.beta)
+    outcome = q_interval(args.t, criteria, args.nu, args.n, args.q_ceiling)
+    result = {"alpha": args.alpha, "beta": args.beta, "n": args.n, "nu": args.nu, "t": args.t}
     if isinstance(outcome, NoSolution):
-        thumb = rule_of_thumb(alpha, args.nu)._asdict()
+        thumb = rule_of_thumb(args.alpha, args.nu)._asdict()
         result.update(status="no_solution", **dataclasses.asdict(outcome))
         result.update({f"thumb_{key}": value for key, value in thumb.items()})
     else:
         result.update(status="ok", **dataclasses.asdict(outcome))
-    _emit_result("range", result, fmt)
+    _emit_result("range", result, args.format)
     return 0
 
 
@@ -253,7 +265,7 @@ def _site_predicate(spec: str):
     return lambda site: site in allowed
 
 
-def _cmd_qest(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int:
+def _cmd_qest(args: argparse.Namespace) -> int:
     import dataclasses
 
     from . import varratio
@@ -287,11 +299,11 @@ def _cmd_qest(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int
         varratio.write_histogram_csv([c.q for c in cells], args.hist_out)
     if args.cells_out:
         varratio.write_cells_csv(cells, args.cells_out)
-    _emit_rows("qest", columns, row_dicts, fmt)
+    _emit_rows("qest", columns, row_dicts, args.format)
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> int:
     from .distributional import (
         DistributionalNull,
         ExperimentDesign,
@@ -300,9 +312,6 @@ def _cmd_simulate(args: argparse.Namespace, config: dict[str, str], fmt: str) ->
     )
     from .mc import SimConfig, fpr_vs_n, simulate_fpr, simulate_replication
 
-    alpha = _setting(args, config, "alpha", float)
-    seed = _setting(args, config, "seed", int)
-    trials = _setting(args, config, "trials", int)
     design = ExperimentDesign[_DESIGNS[args.design]]
     try:
         n_values = [int(piece) for piece in str(args.n).split(",") if piece]
@@ -318,73 +327,51 @@ def _cmd_simulate(args: argparse.Namespace, config: dict[str, str], fmt: str) ->
         design=design,
         n=n_values[0],
         q_true=args.q_true,
-        trials=trials,
-        seed=seed,
+        trials=args.trials,
+        seed=args.seed,
     )
+
+    def row(n, rep, **columns):
+        return {"design": args.design, "n": n, "q_true": cfg.q_true, **columns,
+                "trials": rep.trials, "seed": args.seed, "rate": rep.rate, "mc_se": rep.mc_se}
+
     if args.mode == "replication":
         variant = args.variant.replace("-", "_")
-        rep = simulate_replication(args.t, cfg, alpha, variant)
+        rep = simulate_replication(args.t, cfg, args.alpha, variant)
         nu = degrees_of_freedom(design, cfg.n)
         formula = replication_probability(
-            args.t, alpha, nu, cfg.n, DistributionalNull(cfg.q_true)
+            args.t, args.alpha, nu, cfg.n, DistributionalNull(cfg.q_true)
         )
-        rows = [
-            {
-                "design": args.design,
-                "n": cfg.n,
-                "q_true": cfg.q_true,
-                "alpha": alpha,
-                "t": args.t,
-                "variant": args.variant,
-                "trials": rep.trials,
-                "seed": seed,
-                "rate": rep.rate,
-                "mc_se": rep.mc_se,
-                "p_r_formula": formula,
-            }
-        ]
+        columns = dict(alpha=args.alpha, t=args.t, variant=args.variant)
+        rows = [{**row(cfg.n, rep, **columns), "p_r_formula": formula}]
     else:
         q_test = args.q_true if args.q_test is None else args.q_test
         if len(n_values) == 1:
-            reports = [(cfg.n, simulate_fpr(cfg, alpha, q_test, args.two_sided))]
+            reports = [(cfg.n, simulate_fpr(cfg, args.alpha, q_test, args.two_sided))]
         else:
-            reports = fpr_vs_n(cfg, alpha, n_values, q_test, args.two_sided)
-        rows = [
-            {
-                "design": args.design,
-                "n": n,
-                "q_true": cfg.q_true,
-                "q_test": q_test,
-                "alpha": alpha,
-                "two_sided": args.two_sided,
-                "trials": rep.trials,
-                "seed": seed,
-                "rate": rep.rate,
-                "mc_se": rep.mc_se,
-            }
-            for n, rep in reports
-        ]
-    _emit_rows("simulate", list(rows[0]), rows, fmt)
+            reports = fpr_vs_n(cfg, args.alpha, n_values, q_test, args.two_sided)
+        columns = dict(q_test=q_test, alpha=args.alpha, two_sided=args.two_sided)
+        rows = [row(n, rep, **columns) for n, rep in reports]
+    _emit_rows("simulate", list(rows[0]), rows, args.format)
     return 0
 
 
-def _cmd_thumb(args: argparse.Namespace, config: dict[str, str], fmt: str) -> int:
+def _cmd_thumb(args: argparse.Namespace) -> int:
     from .criterion import THUMB_RATIO, rule_of_thumb
 
-    alpha = _setting(args, config, "alpha", float)
     result = {
-        "alpha": alpha,
+        "alpha": args.alpha,
         "nu": args.nu,
-        **rule_of_thumb(alpha, args.nu)._asdict(),
+        **rule_of_thumb(args.alpha, args.nu)._asdict(),
         "bound_over_quantile": THUMB_RATIO,
     }
-    _emit_result("thumb", result, fmt)
+    _emit_result("thumb", result, args.format)
     return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["json", "csv", "human"], default=None)
+    common.add_argument("--format", choices=_FORMATS, default=None)
     common.add_argument("--config", default=None, help="INI file with a [defaults] section")
 
     parser = argparse.ArgumentParser(
@@ -396,13 +383,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", parents=[common], help="significance test report")
     _add_stat_inputs(p_test)
-    p_test.add_argument("--alpha", type=float, default=None)
+    _add_settings(p_test, "alpha")
     p_test.add_argument("--q", type=float, required=True, help="variance ratio of the null")
     p_test.set_defaults(func=_cmd_test)
 
     p_rep = sub.add_parser("replicate", parents=[common], help="replication probability")
     _add_stat_inputs(p_rep)
-    p_rep.add_argument("--alpha", type=float, default=None)
+    _add_settings(p_rep, "alpha")
     p_rep.add_argument("--q", type=float, required=True)
     p_rep.set_defaults(func=_cmd_replicate)
 
@@ -412,9 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_range.add_argument("--t", type=float, required=True)
     p_range.add_argument("--nu", type=float, required=True)
     p_range.add_argument("--n", type=int, required=True)
-    p_range.add_argument("--alpha", type=float, default=None)
-    p_range.add_argument("--beta", type=float, default=None)
-    p_range.add_argument("--q-ceiling", dest="q_ceiling", type=float, default=None)
+    _add_settings(p_range, "alpha", "beta", "q_ceiling")
     p_range.set_defaults(func=_cmd_range)
 
     p_qest = sub.add_parser(
@@ -434,9 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", required=True, help="sample size, or comma list for fpr sweeps")
     p_sim.add_argument("--q-true", dest="q_true", type=float, required=True)
     p_sim.add_argument("--q-test", dest="q_test", type=float, default=None)
-    p_sim.add_argument("--alpha", type=float, default=None)
-    p_sim.add_argument("--trials", type=int, default=None)
-    p_sim.add_argument("--seed", type=int, default=None)
+    _add_settings(p_sim, "alpha", "trials", "seed")
     p_sim.add_argument(
         "--two-sided",
         dest="two_sided",
@@ -453,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_thumb = sub.add_parser(
         "thumb", parents=[common], help="q-free bound on the joint criterion"
     )
-    p_thumb.add_argument("--alpha", type=float, default=None)
+    _add_settings(p_thumb, "alpha")
     p_thumb.add_argument("--nu", type=float, required=True)
     p_thumb.set_defaults(func=_cmd_thumb)
 
@@ -470,9 +453,8 @@ def main(argv: list[str] | None = None) -> int:
         t = getattr(args, "t", None)
         if t is not None and not math.isfinite(t):
             raise DomainError(f"--t must be finite, got {t}")
-        config = _load_config(args.config)
-        fmt = _pick_format(args, config)
-        return args.func(args, config, fmt)
+        _resolve_settings(args, _load_config(args.config))
+        return args.func(args)
     except (DomainError, DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

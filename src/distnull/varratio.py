@@ -476,13 +476,14 @@ def load_groups(source: str | TextIO) -> list[MeasureGroupSpec]:
 
     INI format: one section per group, a required ``measures`` key
     listing measure names separated by commas or whitespace, and an
-    optional ``set`` label::
+    optional ``set`` label.  Values are read literally: a ``%`` is part of
+    the name, as in the CSV::
 
         [anchoring]
         set = 1
         measures = anchoring1, anchoring2, anchoring3, anchoring4
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with _opened(source, "r") as fh:
             parser.read_file(fh)

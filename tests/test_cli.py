@@ -166,25 +166,61 @@ def test_thumb_values(capsys):
     assert result["bound_over_quantile"] == pytest.approx(2.598076211353316)
 
 
+RANGE_ARGV = ["range", "--t", "8", "--nu", "19", "--n", "20"]
+SIMULATE_ARGV = ["simulate", "--n", "20", "--q-true", "0"]
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, tmp_path):
+        # Every key the subcommand takes reaches it; the rest are ignored,
+        # even when malformed.
+        cases = [
+            (["thumb", "--nu", "10"], "", {"alpha": 0.01}),
+            (["thumb", "--nu", "10"], "trials = abc\nseed = x\n", {"alpha": 0.01}),
+            (
+                RANGE_ARGV,
+                "beta = 0.6\nq_ceiling = 0.2\ntrials = abc\nseed = x\n",
+                {"alpha": 0.01, "beta": 0.6, "q2": 0.2, "q2_censored": True},
+            ),
+            (
+                SIMULATE_ARGV,
+                "seed = 7\ntrials = 50\nbeta = x\n",
+                {"alpha": 0.01, "seed": 7, "trials": 50},
+            ),
+        ]
         path = tmp_path / "cfg.ini"
-        path.write_text("[defaults]\nalpha = 0.01\nformat = json\n")
-        code, out, _ = run(capsys, ["thumb", "--nu", "10", "--config", str(path)])
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["result"]["alpha"] == 0.01
+        for argv, config, expected in cases:
+            path.write_text("[defaults]\nalpha = 0.01\nformat = json\n" + config)
+            code, out, err = run(capsys, argv + ["--config", str(path)])
+            assert code == 0, (argv, config, err)
+            doc = json.loads(out)
+            result = doc["rows"][0] if "rows" in doc else doc["result"]
+            assert {key: result[key] for key in expected} == expected, (argv, config)
 
     def test_flags_beat_config(self, capsys, tmp_path):
+        cases = [
+            (["thumb", "--nu", "10"], ["--alpha", "0.2"], {"alpha": "0.2"}),
+            (
+                RANGE_ARGV,
+                ["--alpha", "0.2", "--beta", "0.7", "--q-ceiling", "0.1"],
+                {"alpha": "0.2", "beta": "0.7", "q2": "0.1"},
+            ),
+            (
+                SIMULATE_ARGV,
+                ["--alpha", "0.2", "--seed", "3", "--trials", "40"],
+                {"alpha": "0.2", "seed": "3", "trials": "40"},
+            ),
+        ]
         path = tmp_path / "cfg.ini"
-        path.write_text("[defaults]\nalpha = 0.01\nformat = json\n")
-        code, out, _ = run(
-            capsys,
-            ["thumb", "--nu", "10", "--alpha", "0.2", "--config", str(path), "--format", "human"],
+        path.write_text(
+            "[defaults]\nalpha = 0.01\nbeta = 0.6\nq_ceiling = 0.2\nseed = 7\n"
+            "trials = 50\nformat = json\n"
         )
-        assert code == 0
-        assert '"schema_version"' not in out  # human format won
-        assert "0.2" in out
+        for argv, flags, expected in cases:
+            code, out, err = run(capsys, argv + flags + ["--config", str(path), "--format", "csv"])
+            assert code == 0, (argv, err)
+            row = next(csv.DictReader(io.StringIO(out)))  # csv format won
+            assert {key: row[key] for key in expected} == expected, argv
 
     def test_config_without_defaults_section_is_ignored(self, capsys, tmp_path):
         path = tmp_path / "cfg.ini"
@@ -200,11 +236,29 @@ class TestConfigFile:
         assert "error:" in err
 
     def test_malformed_config_value(self, capsys, tmp_path):
+        # Format is checked before any other key; a "%" is read as written.
+        cases = [
+            (["thumb", "--nu", "10"], "alpha = lots", "error: config key 'alpha':"),
+            (
+                ["thumb", "--nu", "10"],
+                "alpha = 5%",
+                "error: config key 'alpha': could not convert string to float: '5%'",
+            ),
+            (
+                RANGE_ARGV,
+                "q_ceiling = %(x)s",
+                "error: config key 'q_ceiling': could not convert string to float: '%(x)s'",
+            ),
+            (["thumb", "--nu", "10"], "format = xml\nalpha = lots", "error: unknown format 'xml'"),
+            (RANGE_ARGV, "beta = x\nq_ceiling = y", "error: config key 'beta':"),
+            (SIMULATE_ARGV, "trials = abc", "error: config key 'trials':"),
+        ]
         path = tmp_path / "cfg.ini"
-        path.write_text("[defaults]\nalpha = lots\n")
-        code, _, err = run(capsys, ["thumb", "--nu", "10", "--config", str(path)])
-        assert code == 2
-        assert "alpha" in err
+        for argv, config, message in cases:
+            path.write_text(f"[defaults]\n{config}\n")
+            code, out, err = run(capsys, argv + ["--config", str(path)])
+            assert (code, out) == (2, ""), (argv, config)
+            assert err.startswith(message), (argv, config, err)
 
 
 class TestExitCodes:
@@ -465,6 +519,20 @@ class TestQest:
         # anchoring: site means 2, 3 -> between 0.5; within 0.5 and 2.0
         first = rows[0]
         assert float(first["mean_q"]) == pytest.approx((1.0 + 0.25) / 2.0, rel=1e-12)
+
+    def test_percent_in_group_measures_is_literal(self, capsys, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text(DATA_CSV.replace("gains", "a%b"), encoding="utf-8")
+        groups = tmp_path / "groups.ini"
+        groups.write_text(GROUPS_INI.replace("gains", "a%b"), encoding="utf-8")
+        code, out, err = run(
+            capsys, ["qest", "--data", str(data), "--groups", str(groups), "--format", "csv"]
+        )
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["group"], r["datapoints"]) for r in rows] == [
+            ("first", "2"), ("second", "2"), ("all 1", "4"), ("all", "4")
+        ]
 
     def test_default_groups(self, capsys, data_path):
         code, out, _ = run(capsys, ["qest", "--data", data_path, "--format", "csv"])

@@ -24,7 +24,7 @@ VALUE = st.sampled_from(
 # Most rows fill a few cells of plain ids, so that datasets qualify; the rest
 # carry blank, spaced, quoted, comma-bearing, comment-like and non-ASCII ids.
 CELLS = st.lists(
-    st.tuples(st.sampled_from(["a", "b", "c"]), st.sampled_from(["m", "w"]),
+    st.tuples(st.sampled_from(["a", "b", "c"]), st.sampled_from(["m", "w", "w%"]),
               st.lists(VALUE, min_size=1, max_size=3)),
     max_size=6,
 )
@@ -32,6 +32,12 @@ ODD_ROWS = st.lists(
     st.tuples(st.sampled_from(["", " ", "a b", "s,1", '"q"', "#c", "é"]),
               st.sampled_from(["m", "", " ", "m,2", "μ"]), VALUE),
     max_size=3,
+)
+# Measure groups for --groups; a name holding "%" must match the CSV literally.
+GROUPS = st.lists(
+    st.lists(st.sampled_from(["m", "w", "w%", "%(m)s", "m%%"]), min_size=1, max_size=2),
+    min_size=1,
+    max_size=2,
 )
 
 
@@ -51,6 +57,12 @@ SIM_N = st.sampled_from(["2", "3", "20", "65", "1000", "2,20", "20,,3", ",", "0"
                          str(2**1022), str(10**200), str(10**400)])
 DESIGN = st.sampled_from(["one-sample", "paired", "two-sample", "bogus"])
 FORMAT = st.sampled_from(["json", "csv", "human"])
+# A [defaults] section for --config: each key absent, or a flag value, a
+# value with "%" in it, a bad format or nothing.
+DEFAULTS = st.fixed_dictionaries({}, optional={
+    key: NUMBER | st.sampled_from(["5%", "%(x)s", "xml", "json", ""])
+    for key in ["format", "alpha", "beta", "q_ceiling", "seed", "trials"]
+})
 
 
 def flags(**values):
@@ -62,6 +74,13 @@ def flags(**values):
 
 def maybe(strategy):
     return st.none() | strategy
+
+
+def write_ini(path, sections):
+    """Write {section: {key: value}} as an INI file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for name, keys in sections.items():
+            fh.write(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
 
 
 class _Timeout(Exception):
@@ -94,15 +113,16 @@ def run_bounded(argv):
     fmt=st.none() | st.sampled_from(["json", "csv", "human"]),
     cells_out=st.booleans(),
     hist_out=st.booleans(),
+    groups=maybe(GROUPS),
 )
 # site a's mean sums -inf and +inf, so numpy warns of an invalid value
 @example(
     cells=[("a", "w", ["0", "0", "0"]), ("a", "w", ["1e308", "-1e308"]),
            ("b", "w", ["0", "0"]), ("a", "w", ["0", "1e308", "-1e308"])],
     odd_rows=[], min_cell_n="2", sites=None, fmt=None, cells_out=False,
-    hist_out=False,
+    hist_out=False, groups=None,
 )
-def test_qest(cells, odd_rows, min_cell_n, sites, fmt, cells_out, hist_out):
+def test_qest(cells, odd_rows, min_cell_n, sites, fmt, cells_out, hist_out, groups):
     rows = [(site, measure, v) for site, measure, values in cells for v in values] + odd_rows
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "data.csv"
@@ -119,6 +139,10 @@ def test_qest(cells, odd_rows, min_cell_n, sites, fmt, cells_out, hist_out):
             argv += ["--cells-out", str(Path(tmp) / "cells.csv")]
         if hist_out:
             argv += ["--hist-out", str(Path(tmp) / "hist.csv")]
+        if groups is not None:
+            write_ini(Path(tmp) / "groups.ini",
+                      {f"g{i}": {"measures": " ".join(names)} for i, names in enumerate(groups)})
+            argv += ["--groups", str(Path(tmp) / "groups.ini")]
         code, out, err = run_bounded(argv)
     assert code in (0, 2), (argv, rows, err)
     assert "Traceback" not in err, (argv, rows, err)
@@ -126,9 +150,14 @@ def test_qest(cells, odd_rows, min_cell_n, sites, fmt, cells_out, hist_out):
     assert not NON_FINITE.search(out), (argv, rows, out)
 
 
-def check(argv):
-    code, out, err = run_bounded(argv)
-    assert code in (0, 2, 3), (argv, err)
+def check(argv, defaults=None):
+    """Run argv, with a --config file holding defaults unless that is None."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if defaults is not None:
+            write_ini(Path(tmp) / "cfg.ini", {"defaults": defaults})
+            argv = [*argv, f"--config={Path(tmp) / 'cfg.ini'}"]
+        code, out, err = run_bounded(argv)
+    assert code in (0, 2, 3), (argv, defaults, err)
     assert "Traceback" not in err, (argv, err)
     assert not NON_FINITE.search(out), (argv, out)
 
@@ -167,17 +196,20 @@ def test_test_and_replicate(command, values):
 @settings(max_examples=300, deadline=None)
 @given(values=st.fixed_dictionaries({
     "t": NUMBER, "nu": NUMBER, "n": SIZE, "alpha": maybe(NUMBER), "beta": maybe(NUMBER),
-    "q_ceiling": maybe(NUMBER), "format": FORMAT,
-}))
-def test_range(values):
-    check(["range", *flags(**values)])
+    "q_ceiling": maybe(NUMBER), "format": maybe(FORMAT),
+}), defaults=maybe(DEFAULTS))
+def test_range(values, defaults):
+    check(["range", *flags(**values)], defaults)
 
 
 @settings(max_examples=200, deadline=None)
-@given(values=st.fixed_dictionaries({"nu": NUMBER, "alpha": maybe(NUMBER), "format": FORMAT}))
-@example(values={"nu": "1e300", "alpha": None, "format": "human"})  # once hung
-def test_thumb(values):
-    check(["thumb", *flags(**values)])
+@given(
+    values=st.fixed_dictionaries({"nu": NUMBER, "alpha": maybe(NUMBER), "format": maybe(FORMAT)}),
+    defaults=maybe(DEFAULTS),
+)
+@example(values={"nu": "1e300", "alpha": None, "format": "human"}, defaults=None)  # once hung
+def test_thumb(values, defaults):
+    check(["thumb", *flags(**values)], defaults)
 
 
 @settings(max_examples=200, deadline=None)
@@ -193,19 +225,20 @@ def test_thumb(values):
         "seed": maybe(st.sampled_from(["0", "7", "-1", str(2**64)])),
         "t": maybe(NUMBER),
         "variant": maybe(st.sampled_from(["shared-s", "independent-s"])),
-        "format": FORMAT,
+        "format": maybe(FORMAT),
     }),
     one_sided=st.booleans(),
+    defaults=maybe(DEFAULTS),
 )
 # dist_t_crit at nu near 1e200 once hung
 @example(values={
     "mode": None, "design": None, "n": str(10**200), "q_true": "0", "q_test": None,
     "alpha": None, "trials": "7", "seed": None, "t": None, "variant": None,
-    "format": "human"}, one_sided=False)
+    "format": "human"}, one_sided=False, defaults=None)
 # t1 * s1 and the repeat's statistic overflow, so numpy warned of it
 @example(values={
     "mode": "replication", "design": None, "n": "2", "q_true": "1", "q_test": None,
     "alpha": None, "trials": "100", "seed": None, "t": "1.7e308",
-    "variant": "independent-s", "format": "json"}, one_sided=False)
-def test_simulate(values, one_sided):
-    check(["simulate", *flags(**values), *(["--no-two-sided"] if one_sided else [])])
+    "variant": "independent-s", "format": "json"}, one_sided=False, defaults=None)
+def test_simulate(values, one_sided, defaults):
+    check(["simulate", *flags(**values), *(["--no-two-sided"] if one_sided else [])], defaults)
