@@ -158,12 +158,13 @@ def _add_stat_inputs(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--sd2", type=float, help="second group sd (two-sample)")
     sub.add_argument("--t", type=float, help="precomputed t statistic")
     sub.add_argument("--nu", type=float, help="degrees of freedom (with --t)")
+    _add_settings(sub, "alpha")
+    sub.add_argument("--q", type=float, required=True, help="variance ratio of the null")
 
 
 def _resolve_stats(args: argparse.Namespace) -> tuple[float, float, int]:
     """(t1, nu, n) from either a precomputed statistic or raw summaries."""
     from .distributional import ExperimentDesign, ExperimentSummary, t_statistic
-    from .point import _check_n
 
     if args.t is not None:
         if args.nu is None:
@@ -172,7 +173,7 @@ def _resolve_stats(args: argparse.Namespace) -> tuple[float, float, int]:
             raise DomainError("give either --t/--nu or --mean/--sd, not both")
         if args.mean2 is not None or args.sd2 is not None:
             raise DomainError("--mean2/--sd2 need --mean/--sd, not --t/--nu")
-        return args.t, args.nu, _check_n(args.n)
+        return args.t, args.nu, args.n
     if args.design is None or args.mean is None or args.sd is None:
         raise DomainError("need --design, --n, --mean and --sd (or --t with --nu)")
     design = ExperimentDesign[_DESIGNS[args.design]]
@@ -383,14 +384,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", parents=[common], help="significance test report")
     _add_stat_inputs(p_test)
-    _add_settings(p_test, "alpha")
-    p_test.add_argument("--q", type=float, required=True, help="variance ratio of the null")
     p_test.set_defaults(func=_cmd_test)
 
     p_rep = sub.add_parser("replicate", parents=[common], help="replication probability")
     _add_stat_inputs(p_rep)
-    _add_settings(p_rep, "alpha")
-    p_rep.add_argument("--q", type=float, required=True)
     p_rep.set_defaults(func=_cmd_replicate)
 
     p_range = sub.add_parser(

@@ -237,15 +237,14 @@ def q_interval(
     Returns ``NoSolution`` when |t1| < r_min (the result meets the joint
     criterion for no q).  When R at the ceiling is still below |t1| the
     upper endpoint is right-censored at ``q_ceiling`` and flagged, since
-    q2 can be genuinely unbounded for large results.
+    q2 can be genuinely unbounded for large results.  A ceiling below q1
+    leaves no interval and raises ``DomainError``.
     """
     if not math.isfinite(t1):
         raise DomainError(f"t1 must be finite, got {t1}")
     if not (q_ceiling > 0.0 and math.isfinite(q_ceiling)):
         raise DomainError(f"q_ceiling must be positive and finite, got {q_ceiling}")
-    u_ceiling = q_ceiling * _check_n(n)
-    if not math.isfinite(u_ceiling):
-        raise DomainError(f"q_ceiling * n must be finite, got {q_ceiling} * {n}")
+    u_ceiling = _qn(q_ceiling, n, "q_ceiling")
     t_abs = abs(t1)
     a, b = _quantiles(criteria, nu)
     q_at_min, r_min = _minimize_r(a, b, n)
@@ -272,6 +271,8 @@ def q_interval(
     # u = (a + b) / (2|t1|), which lies left of u_min.  If that u
     # underflows, so does the root; the residual check reports it.
     u1 = root("left", max(0.5 * (a + b) / t_abs, math.ulp(0.0)))
+    if u_ceiling < u1:
+        raise DomainError(f"q_ceiling={q_ceiling} lies below q1={u1 / n}")
     # Right root, censored at the ceiling.
     censored = u_ceiling <= u_min or excess(u_ceiling) < 0.0
     q2 = q_ceiling if censored else root("right", u_ceiling) / n

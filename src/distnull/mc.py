@@ -33,7 +33,7 @@ from .distributional import (
     dist_t_crit,
 )
 from .errors import DomainError
-from .point import _check_alpha, _check_n
+from .point import _check_alpha, _check_n, _qn
 
 __all__ = [
     "SimConfig",
@@ -69,10 +69,7 @@ class SimConfig:
         _check_n(self.n)
         if not (self.q_true >= 0.0 and math.isfinite(self.q_true)):
             raise DomainError(f"q_true must be >= 0 and finite, got {self.q_true}")
-        if not math.isfinite(self.q_true * self.n):
-            raise DomainError(
-                f"q_true * n must be finite, got {self.q_true} * {self.n}"
-            )
+        _qn(self.q_true, self.n, "q_true")
         if not isinstance(self.trials, int) or self.trials < 1:
             raise DomainError(f"trials must be a positive integer, got {self.trials!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
@@ -242,7 +239,6 @@ def simulate_replication(
     substitution approximates.  No closed form is claimed for the
     latter; the point of measuring it is to see the gap.
     """
-    _check_alpha(alpha)
     if not math.isfinite(t1):
         raise DomainError(f"t1 must be finite, got {t1}")
     if variant not in REPLICATION_VARIANTS:

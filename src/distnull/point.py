@@ -44,12 +44,12 @@ def _check_n(n: int) -> int:
     return n
 
 
-def _qn(q: float, n: int) -> float:
+def _qn(q: float, n: int, name: str = "q") -> float:
     # u = qN, through which q enters every closed form of the
-    # distributional null and the joint criterion.
+    # distributional null, the joint criterion and the simulator.
     u = q * _check_n(n)
     if u == math.inf:
-        raise DomainError(f"q * n must be finite, got {q} * {n}")
+        raise DomainError(f"{name} * n must be finite, got {q} * {n}")
     return u
 
 

@@ -393,6 +393,8 @@ class TestExitCodes:
             ["test", "--design", "two-sample", "--n", str(2**1023), "--mean", "1",
              "--sd", "1", "--q", "0.1"],
             ["simulate", "--n", str(10**400), "--q-true", "0.1"],
+            # q_ceiling lies below q1 = 0.0905
+            ["range", "--t", "4.5", "--nu", "19", "--n", "20", "--q-ceiling", "0.01"],
         ],
     )
     def test_bad_n_or_criteria_exit_2(self, capsys, argv):

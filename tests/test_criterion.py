@@ -252,14 +252,23 @@ class TestQInterval:
         assert not lifted.q2_censored
         assert lifted.q2 > 1e3
 
+        # a ceiling between q1 and q_at_min censors the interval there
+        full = q_interval(4.5, C_HALF, 19, 20)
+        low = q_interval(4.5, C_HALF, 19, 20, q_ceiling=0.095)
+        assert full.q1 < 0.095 < full.q_at_min
+        assert (low.q1, low.q2, low.q2_censored) == (full.q1, 0.095, True)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             q_interval(math.inf, C_HALF, 19, 20)
         with pytest.raises(DomainError):
             q_interval(5.0, C_HALF, 19, 20, q_ceiling=0.0)
         # q_ceiling * n overflows
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"q_ceiling \* n must be finite"):
             q_interval(5.0, C_HALF, 19, 2**1020)
+        # the ceiling lies below q1 = 0.0905: no interval, not a censored one
+        with pytest.raises(DomainError, match=r"q_ceiling=0\.01 lies below q1=0\.0904"):
+            q_interval(4.5, C_HALF, 19, 20, q_ceiling=0.01)
 
     @pytest.mark.parametrize(
         "n", [0, -5, 1, True, 20.0, 10**400], ids=["0", "-5", "1", "True", "20.0", "10**400"]

@@ -131,7 +131,7 @@ def test_replication_argument_validation():
         simulate_replication(math.inf, cfg(), 0.05)
     with pytest.raises(DomainError):
         simulate_replication(2.0, cfg(), 0.05, variant="pooled")
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="alpha"):
         simulate_replication(2.0, cfg(), 0.6)
 
 
