@@ -10,11 +10,11 @@ u = qN, and their maximum
 
 is unimodal in u: it blows up as q -> 0 (replication of a significant
 result under a near-point null is pure luck) and grows like sqrt(1 + qN)
-for large q.  So one bisection in log u finds the minimum, where the
-slope of R changes sign, and the crossings of R with |t1| on each side
-of it: the q-range [q1, q2] over which a given result meets both
-criteria.  The upper endpoint gamma = q2 measures how much
-cross-experiment variability a result can tolerate.
+for large q.  Its minimum is a closed-form kink where t_rep falls to t_crit,
+or else t_rep's stationary point, which Newton finds with no window on u.
+Bisection in log u on each side of it finds the crossings of R with |t1|:
+the q-range [q1, q2] over which a result meets both criteria; gamma = q2
+measures how much cross-experiment variability a result can tolerate.
 """
 
 from __future__ import annotations
@@ -43,11 +43,6 @@ __all__ = [
     "minimize_r",
     "q_interval",
 ]
-
-# Search window for u = qN.  Observed variance ratios live around
-# q ~ 0.02..0.64, many orders of magnitude inside this bracket.
-_U_LO = 1e-6
-_U_HI = 1e6
 
 # max(t_rep, t_crit) at its minimum for beta = 0.5, divided by the
 # significance quantile: (1 + 1/2) sqrt(3) at u = 2.
@@ -188,41 +183,35 @@ def rule_of_thumb(alpha: float, nu: float) -> RuleOfThumb:
 def minimize_r(criteria: Criteria, nu: float, n: int) -> tuple[float, float]:
     """Locate the minimum of R_q: returns (q_at_min, r_min).
 
-    Bisection on the sign of the slope in log(qN) over [1e-6, 1e6]; it
-    also finds a kink minimum, where t_rep meets t_crit (beta near alpha).
-    For beta = 0.5 the minimum sits at qN = 2 with r_min =
-    (3 sqrt(3) / 2) T_nu^{-1}(1 - alpha), which the search reproduces
-    rather than special-cases.
+    With a = T_nu^{-1}(1 - alpha) and b = T_nu^{-1}(beta), it is the kink
+    t_rep = t_crit at qN = (a + b)(a - b) / (2 b^2) when b < 0 and a^2 <=
+    (3 + sqrt 17) b^2 / 2, else t_rep's stationary point, found by Newton with
+    no search window: qN = 2 and r_min = (3 sqrt(3) / 2) a at beta = 0.5.
     """
-    return _minimize_r(*_quantiles(criteria, nu), _check_n(n))
+    u_min, r_min = _minimize_r(*_quantiles(criteria, nu))
+    return u_min / _check_n(n), r_min
 
 
-def _minimize_r(a: float, b: float, n: int) -> tuple[float, float]:
-    def slope(u: float) -> float:
-        # d ln R / du, or just its sign where R = t_crit, which rises:
-        # t_rep - t_crit = sqrt(1 + u) (a + b s) / u.
-        s = math.sqrt(1.0 + 2.0 * u)
-        if a + b * s < 0.0:
-            return 1.0
-        return 0.5 / (1.0 + u) - 1.0 / u + (a + b / s) / (a * (1.0 + u) + b * s)
-
-    u_min = _bisect_log(slope, math.log(_U_HI), math.log(_U_LO))
-    return u_min / n, _r_u(a, b, u_min)
-
-
-def _bisect_log(f, log_pos: float, log_neg: float) -> float:
-    # Sign change of f between log u = log_pos (f >= 0 there) and
-    # log u = log_neg (f < 0 there), by bisection in log u to 1e-12.
-    lo, hi = log_pos, log_neg
-    for _ in range(200):
-        if abs(hi - lo) <= 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        if f(math.exp(mid)) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return math.exp(0.5 * (lo + hi))
+def _minimize_r(a: float, b: float) -> tuple[float, float]:
+    # (u_min, r_min).  With s = sqrt(1 + 2u), t_rep - t_crit has the sign of
+    # a + b s: for b < 0, R = t_crit (rising) past the kink s = -a/b, which is
+    # the minimum while t_rep still falls there, h(-a/b) <= 0 (h as below).
+    if b < 0.0 and (a / b) * (a / b) <= 0.5 * (3.0 + math.sqrt(17.0)):
+        u = 0.5 * ((a + b) / b) * ((a - b) / b)  # ((a/b)^2 - 1) / 2, uncancelled
+        return u, _t_crit_u(a, u)
+    # Else d ln t_rep / ds = 0: h(s) = s (s^2 - 5)(s^2 + 1) - 2c (3s^2 + 1) = 0, c = b / a.
+    # h is convex and rising past its one root above s = 1: Newton from h(s0) >= 0 descends.
+    c = b / a
+    s = math.sqrt(5.0) + 2.0 * max(c, 0.0) ** (1.0 / 3.0)
+    for _ in range(50):
+        s2 = s * s
+        h = s * (s2 - 5.0) * (s2 + 1.0) - 2.0 * c * (3.0 * s2 + 1.0)
+        step = h / ((5.0 * s2 - 12.0) * s2 - 5.0 - 12.0 * c * s)
+        s -= step
+        if abs(step) <= 1e-12 * s:
+            u = 0.5 * (s - 1.0) * (s + 1.0)
+            return u, _r_u(a, b, u)
+    raise SolverFailure(f"minimum of R not found for a={a}, b={b}: s={s}, last step {step:.3g}")
 
 
 def q_interval(
@@ -247,23 +236,29 @@ def q_interval(
     u_ceiling = _qn(q_ceiling, n, "q_ceiling")
     t_abs = abs(t1)
     a, b = _quantiles(criteria, nu)
-    q_at_min, r_min = _minimize_r(a, b, n)
+    u_min, r_min = _minimize_r(a, b)
     if t_abs < r_min:
-        return NoSolution(r_min=r_min, q_at_min=q_at_min)
+        return NoSolution(r_min=r_min, q_at_min=u_min / n)
 
     def excess(u: float) -> float:
         return _r_u(a, b, u) - t_abs
 
-    u_min = q_at_min * n
-
     def root(side: str, u_far: float) -> float:
-        # The crossing of R with |t1| between u_far and u_min.
-        u = _bisect_log(excess, math.log(u_far), math.log(u_min))
+        # R = |t1| between u_far (excess >= 0) and u_min: bisection in log u.
+        lo, hi = math.log(u_far), math.log(u_min)
+        for _ in range(200):
+            if abs(hi - lo) <= 1e-12:
+                break
+            mid = 0.5 * (lo + hi)
+            if excess(math.exp(mid)) >= 0.0:
+                lo = mid
+            else:
+                hi = mid
+        u = math.exp(0.5 * (lo + hi))
         if abs(excess(u)) > 1e-8 * t_abs:
-            lo, hi = sorted((u_far, u_min))
             raise SolverFailure(
-                f"{side} root tolerance not met for t1={t1}: "
-                f"bracket [{lo}, {hi}] in u, residual {excess(u):.3g}"
+                f"{side} root tolerance not met for t1={t1}: bracket "
+                f"[{min(u_far, u_min)}, {max(u_far, u_min)}] in u, residual {excess(u):.3g}"
             )
         return u
 
@@ -282,6 +277,6 @@ def q_interval(
         q2=q2,
         gamma=q2,
         r_min=r_min,
-        q_at_min=q_at_min,
+        q_at_min=u_min / n,
         q2_censored=censored,
     )

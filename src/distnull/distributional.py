@@ -174,6 +174,12 @@ def asymptotic_z_bound(alpha: float, nu: float, null: DistributionalNull) -> flo
     return _t_alpha(alpha, nu) * math.sqrt(null.q)
 
 
+def _shrinkage(q: float, n: int) -> float:
+    # qN / (1 + qN): the posterior's weight on the observed mean.
+    qn = _qn(q, n)
+    return qn / (1.0 + qn)
+
+
 def posterior_update(x_bar_1: float, n: int, null: DistributionalNull) -> PosteriorMean:
     """Gaussian posterior for the experiment mean given the observed x_bar_1.
 
@@ -181,8 +187,7 @@ def posterior_update(x_bar_1: float, n: int, null: DistributionalNull) -> Poster
     With q = 0 the null absorbs all evidence (mu_N = 0); as q grows the
     posterior approaches the observed mean.
     """
-    qn = _qn(null.q, n)
-    shrinkage = qn / (1.0 + qn)
+    shrinkage = _shrinkage(null.q, n)
     return PosteriorMean(
         mu_n=shrinkage * x_bar_1,
         shrinkage=shrinkage,
@@ -203,8 +208,7 @@ def replication_probability(
     significant repeat is pure false-positive luck.
     """
     t_crit = dist_t_crit(alpha, nu, n, null)
-    qn = _qn(null.q, n)
-    shrinkage = qn / (1.0 + qn)
+    shrinkage = _shrinkage(null.q, n)
     # (1 + 2qN) / (1 + qN), without forming 2qN, which may overflow
     spread = math.sqrt(1.0 + shrinkage)
     return t_cdf((shrinkage * abs(t1) - t_crit) / spread, nu)

@@ -29,6 +29,7 @@ import numpy as np
 from .distributional import (
     DistributionalNull,
     ExperimentDesign,
+    _shrinkage,
     degrees_of_freedom,
     dist_t_crit,
 )
@@ -248,8 +249,7 @@ def simulate_replication(
     nu = int(degrees_of_freedom(cfg.design, cfg.n))
     null = DistributionalNull(cfg.q_true)
     crit = dist_t_crit(alpha, nu, cfg.n, null)
-    qn = cfg.q_true * cfg.n
-    shrinkage = qn / (1.0 + qn)
+    shrinkage = _shrinkage(cfg.q_true, cfg.n)
     post_sd = math.sqrt(shrinkage)
     sign = 1.0 if t1 >= 0.0 else -1.0
 

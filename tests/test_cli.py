@@ -354,6 +354,21 @@ class TestExitCodes:
         expected = t_quantile(0.95, 19) / (float(t) * 20)
         assert doc["result"]["q1"] == pytest.approx(expected, rel=1e-9)
 
+    def test_kink_minimum_below_u_1e_minus_6(self, capsys):
+        # R's minimum, 1.72913336 at qN ~ 6.3e-7, lies below |t|
+        doc, _ = run_json(capsys, [
+            "range", "--t", "1.72913355", "--nu", "19", "--n", "20", "--beta", "0.0500001",
+        ])
+        assert doc["result"]["status"] == "ok"
+        assert doc["result"]["r_min"] <= 1.72913355
+
+    def test_stationary_minimum_above_u_1e6(self, capsys):
+        doc, _ = run_json(capsys, [
+            "range", "--t", "1.46e23", "--nu", "0.5", "--n", "2",
+            "--beta", "0.999999999999", "--q-ceiling", "1e300",
+        ])
+        assert doc["result"]["q_at_min"] == pytest.approx(1.52069e14, rel=1e-5)
+
     def test_left_root_below_float_range_exits_3(self, capsys):
         # a + b is about 2.3e-15 here, so the left bracket (a + b) / (2|t|)
         # is clamped to 5e-324 (stderr names it), and no float u has R(u) = |t|

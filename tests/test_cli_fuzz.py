@@ -193,11 +193,22 @@ def test_test_and_replicate(command, values):
     check([command, *flags(**values)])
 
 
+# beta just above alpha = 0.05, and beta near 1: R's minimum lies at u = qN
+# below 1e-6 or above 1e6
+BETA = NUMBER | st.sampled_from(["0.0500001", "0.999999999999"])
+
+
 @settings(max_examples=300, deadline=None)
 @given(values=st.fixed_dictionaries({
-    "t": NUMBER, "nu": NUMBER, "n": SIZE, "alpha": maybe(NUMBER), "beta": maybe(NUMBER),
+    "t": NUMBER, "nu": NUMBER, "n": SIZE, "alpha": maybe(NUMBER), "beta": maybe(BETA),
     "q_ceiling": maybe(NUMBER), "format": maybe(FORMAT),
 }), defaults=maybe(DEFAULTS))
+@example(values={
+    "t": "1.72913355", "nu": "19", "n": "20", "alpha": None, "beta": "0.0500001",
+    "q_ceiling": None, "format": None}, defaults=None)
+@example(values={
+    "t": "1.46e23", "nu": "0.5", "n": "2", "alpha": None, "beta": "0.999999999999",
+    "q_ceiling": "1e300", "format": None}, defaults=None)
 def test_range(values, defaults):
     check(["range", *flags(**values)], defaults)
 

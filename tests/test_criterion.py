@@ -33,6 +33,11 @@ Q2_ORACLE = 0.17521862876955935
 # 10^6-point log-grid oracle for alpha=0.05, beta=0.8, nu=19, n=20
 GRID_MIN_U_B08 = 2.5481113728344633
 GRID_MIN_R_B08 = 6.106705374435939
+# minima that lie outside u in [1e-6, 1e6], with a, b from scipy's stdtrit:
+# beta just above alpha has its kink at u = (a + b)(a - b) / (2 b^2); beta
+# near 1 at nu = 0.5 has t_rep's stationary point, a root by brentq
+U_MIN_B_NEAR_ALPHA, R_MIN_B_NEAR_ALPHA = 6.333882191608814e-07, 1.729133359127458
+U_MIN_NU05_B_NEAR_1, R_MIN_NU05_B_NEAR_1 = 304137040405584.7, 1.4545704965343847e23
 
 C_HALF = Criteria(alpha=0.05, beta=0.5)
 C_LOW = Criteria(alpha=0.05, beta=0.3)
@@ -191,6 +196,23 @@ class TestMinimizeR:
         q_at_min, r_min = minimize_r(C_HIGH, 19, 20)
         assert r_min == pytest.approx(GRID_MIN_R_B08, rel=1e-6)
         assert q_at_min * 20 == pytest.approx(GRID_MIN_U_B08, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "beta, nu, n, u_frozen, u_rel, r_frozen",
+        [
+            (0.0500001, 19.0, 20, U_MIN_B_NEAR_ALPHA, 1e-8, R_MIN_B_NEAR_ALPHA),
+            (0.999999999999, 0.5, 2, U_MIN_NU05_B_NEAR_1, 1e-12, R_MIN_NU05_B_NEAR_1),
+        ],
+        ids=["kink-below-1e-6", "stationary-above-1e6"],
+    )
+    def test_minimum_has_no_search_window(self, beta, nu, n, u_frozen, u_rel, r_frozen):
+        # u_frozen's relative error is that of a + b, about 1e-9, in the kink case
+        criteria = Criteria(alpha=0.05, beta=beta)
+        q_at_min, r_min = minimize_r(criteria, nu, n)
+        curve = r_curve(criteria, nu, n, np.logspace(-12, 18, 30_001) / n)
+        assert float(curve.min()) >= r_min * (1.0 - 1e-13)
+        assert q_at_min * n == pytest.approx(u_frozen, rel=u_rel)
+        assert r_min == pytest.approx(r_frozen, rel=1e-12)
 
     def test_located_value_is_the_grid_floor(self):
         for criteria in (C_LOW, C_HALF, C_HIGH):
