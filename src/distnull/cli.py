@@ -177,17 +177,14 @@ def _resolve_stats(args: argparse.Namespace) -> tuple[float, float, int]:
     if args.design is None or args.mean is None or args.sd is None:
         raise DomainError("need --design, --n, --mean and --sd (or --t with --nu)")
     design = ExperimentDesign[_DESIGNS[args.design]]
-    mean, sd = args.mean, args.sd
     if args.mean2 is not None or args.sd2 is not None:
         if design is not ExperimentDesign.TWO_SAMPLE_EQUAL_N:
             raise DomainError("--mean2/--sd2 apply only to the two-sample design")
         if args.mean2 is None or args.sd2 is None:
             raise DomainError("two-sample input needs both --mean2 and --sd2")
-        if not (args.sd > 0.0 and args.sd2 > 0.0):
-            raise DomainError(f"--sd and --sd2 must be positive, got {args.sd}, {args.sd2}")
-        mean = args.mean - args.mean2
-        sd = math.hypot(args.sd, args.sd2) / math.sqrt(2.0)
-    summary = ExperimentSummary(design=design, n=args.n, mean=mean, sd=sd)
+        summary = ExperimentSummary.two_sample(args.n, args.mean, args.sd, args.mean2, args.sd2)
+    else:
+        summary = ExperimentSummary(design=design, n=args.n, mean=args.mean, sd=args.sd)
     t1, nu = t_statistic(summary)
     return t1, nu, args.n
 

@@ -8,12 +8,12 @@ u = qN, and their maximum
 
     R_q = max(t_rep, t_crit)
 
-is unimodal in u: it blows up as q -> 0 (replication of a significant
-result under a near-point null is pure luck) and grows like sqrt(1 + qN)
-for large q.  Its minimum is a closed-form kink where t_rep falls to t_crit,
-or else t_rep's stationary point, which Newton finds with no window on u.
-Bisection in log u on each side of it finds the crossings of R with |t1|:
-the q-range [q1, q2] over which a result meets both criteria; gamma = q2
+has a convex logarithm in ln u: it blows up as q -> 0 (replication of a
+significant result under a near-point null is pure luck) and grows like
+sqrt(1 + qN) for large q.  Its minimum is a closed-form kink where t_rep
+falls to t_crit, or else t_rep's stationary point, found by Newton.  Newton
+in ln u from either side of it finds the crossings of R with |t1|: the
+q-range [q1, q2] over which a result meets both criteria; gamma = q2
 measures how much cross-experiment variability a result can tolerate.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, SolverFailure
-from .point import _check_alpha, _check_n, _qn, _t_alpha
+from .point import _check_alpha, _check_n, _check_t1, _qn, _t_alpha
 from .special import t_cdf, t_quantile
 
 if TYPE_CHECKING:
@@ -223,53 +223,55 @@ def q_interval(
 ) -> QInterval | NoSolution:
     """Invert R_q: the q-range [q1, q2] over which |t1| >= R_q.
 
-    Returns ``NoSolution`` when |t1| < r_min (the result meets the joint
-    criterion for no q).  When R at the ceiling is still below |t1| the
-    upper endpoint is right-censored at ``q_ceiling`` and flagged, since
-    q2 can be genuinely unbounded for large results.  A ceiling below q1
-    leaves no interval and raises ``DomainError``.
+    Newton in ln u finds each endpoint from outside it: q1 from
+    qN = (a + b) / (2|t1|), q2 from the ceiling.  Returns ``NoSolution``
+    when |t1| < r_min (the result meets the joint criterion for no q).
+    When R at the ceiling is still below |t1| the upper endpoint is
+    right-censored at ``q_ceiling`` and flagged, since q2 can be genuinely
+    unbounded for large results.  A ceiling below q1 raises ``DomainError``.
     """
-    if not math.isfinite(t1):
-        raise DomainError(f"t1 must be finite, got {t1}")
     if not (q_ceiling > 0.0 and math.isfinite(q_ceiling)):
         raise DomainError(f"q_ceiling must be positive and finite, got {q_ceiling}")
     u_ceiling = _qn(q_ceiling, n, "q_ceiling")
-    t_abs = abs(t1)
+    t_abs = abs(_check_t1(t1))
     a, b = _quantiles(criteria, nu)
     u_min, r_min = _minimize_r(a, b)
     if t_abs < r_min:
         return NoSolution(r_min=r_min, q_at_min=u_min / n)
+    ln_a_t = math.log(a / t_abs) if a / t_abs > 1e-300 else math.log(a) - math.log(t_abs)
 
-    def excess(u: float) -> float:
-        return _r_u(a, b, u) - t_abs
-
-    def root(side: str, u_far: float) -> float:
-        # R = |t1| between u_far (excess >= 0) and u_min: bisection in log u.
-        lo, hi = math.log(u_far), math.log(u_min)
-        for _ in range(200):
-            if abs(hi - lo) <= 1e-12:
+    def root(side: str, u: float) -> float:
+        # Newton in v = ln u on f = ln(R / |t1|) from u, where f >= 0: ln R is convex in v,
+        # so no step passes the root (the clamp to [lo, hi] only holds back rounding).
+        lo, hi = sorted((u, u_min))
+        for _ in range(100):
+            w = u / (1.0 + u)
+            s = math.sqrt((1.0 + w) / (1.0 + u))  # sqrt(1 + 2u) / (1 + u), unoverflowed
+            # m = a w t_rep / t_crit = a + b s > 0, summed for b < 0 via s = 1 - w^2 / (1 + s):
+            # a + b is exact where b ~ -a, and a + b s would cancel there at small u.
+            m = a + b * s if b >= 0.0 else a + b - b * w * w / (1.0 + s)
+            gap = math.log(m / a) - math.log(w)
+            f = 0.5 * math.log1p(u) + max(gap, 0.0) + ln_a_t
+            slope = 0.5 * w + (w * (a + b * s / (1.0 + w)) / m - 1.0 if gap > 0.0 else 0.0)
+            if f <= 0.0 or (u - u_min) * slope <= 0.0:  # on the root, or at the minimum
                 break
-            mid = 0.5 * (lo + hi)
-            if excess(math.exp(mid)) >= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        u = math.exp(0.5 * (lo + hi))
-        if abs(excess(u)) > 1e-8 * t_abs:
+            step = f / slope
+            u = min(max(u * math.exp(-step), lo), hi)
+            if abs(step) <= 1e-12:
+                break
+        if abs(f) > 1e-8:
             raise SolverFailure(
                 f"{side} root tolerance not met for t1={t1}: bracket "
-                f"[{min(u_far, u_min)}, {max(u_far, u_min)}] in u, residual {excess(u):.3g}"
+                f"[{lo}, {hi}] in u, residual ln(R/|t1|) = {f:.3g}"
             )
         return u
 
-    # Left root: u t_rep(u) >= a + b for every u, so R >= 2|t1| at
-    # u = (a + b) / (2|t1|), which lies left of u_min.  If that u
-    # underflows, so does the root; the residual check reports it.
+    # Left root: u t_rep(u) >= a + b for every u, so R >= 2|t1| at u = (a + b) / (2|t1|),
+    # left of u_min.  If that u underflows, so does the root; the residual check says so.
     u1 = root("left", max(0.5 * (a + b) / t_abs, math.ulp(0.0)))
     if u_ceiling < u1:
         raise DomainError(f"q_ceiling={q_ceiling} lies below q1={u1 / n}")
-    # Right root, censored at the ceiling.
-    censored = u_ceiling <= u_min or excess(u_ceiling) < 0.0
+    censored = u_ceiling <= u_min or _r_u(a, b, u_ceiling) < t_abs
     q2 = q_ceiling if censored else root("right", u_ceiling) / n
 
     return QInterval(

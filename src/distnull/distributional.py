@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateSampleError, DomainError
-from .point import _check_n, _qn, _t_alpha
+from .point import _check_n, _check_t1, _qn, _t_alpha
 from .special import t_cdf
 
 __all__ = [
@@ -79,6 +79,16 @@ class ExperimentSummary:
             raise DegenerateSampleError(
                 f"sd must be positive and finite, got {self.sd}"
             )
+
+    @classmethod
+    def two_sample(
+        cls, n: int, mean: float, sd: float, mean2: float, sd2: float
+    ) -> ExperimentSummary:
+        """Equal-N two-sample summary, pooling the sds as hypot(sd, sd2) / sqrt(2)."""
+        if not (sd > 0.0 and sd2 > 0.0):
+            raise DomainError(f"--sd and --sd2 must be positive, got {sd}, {sd2}")
+        pooled = math.hypot(sd, sd2) / math.sqrt(2.0)
+        return cls(ExperimentDesign.TWO_SAMPLE_EQUAL_N, n, mean - mean2, pooled)
 
 
 @dataclass(frozen=True)
@@ -148,7 +158,7 @@ def dist_p_value(t1: float, nu: float, n: int, null: DistributionalNull) -> floa
     Nondecreasing in q for fixed |t1|: the more the mean is allowed to
     wander between experiments, the less surprising any one result is.
     """
-    return t_cdf(-abs(t1) / math.sqrt(1.0 + _qn(null.q, n)), nu)
+    return t_cdf(-abs(_check_t1(t1)) / math.sqrt(1.0 + _qn(null.q, n)), nu)
 
 
 def dist_t_crit(alpha: float, nu: float, n: int, null: DistributionalNull) -> float:
@@ -211,7 +221,7 @@ def replication_probability(
     shrinkage = _shrinkage(null.q, n)
     # (1 + 2qN) / (1 + qN), without forming 2qN, which may overflow
     spread = math.sqrt(1.0 + shrinkage)
-    return t_cdf((shrinkage * abs(t1) - t_crit) / spread, nu)
+    return t_cdf((shrinkage * abs(_check_t1(t1)) - t_crit) / spread, nu)
 
 
 def dist_test_from_t(

@@ -34,7 +34,7 @@ from .distributional import (
     dist_t_crit,
 )
 from .errors import DomainError
-from .point import _check_alpha, _check_n, _qn
+from .point import _check_alpha, _check_n, _check_t1, _qn
 
 __all__ = [
     "SimConfig",
@@ -240,8 +240,7 @@ def simulate_replication(
     substitution approximates.  No closed form is claimed for the
     latter; the point of measuring it is to see the gap.
     """
-    if not math.isfinite(t1):
-        raise DomainError(f"t1 must be finite, got {t1}")
+    _check_t1(t1)
     if variant not in REPLICATION_VARIANTS:
         raise DomainError(
             f"variant must be one of {REPLICATION_VARIANTS}, got {variant!r}"

@@ -59,6 +59,12 @@ def _check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
+def _check_t1(t1: float) -> float:
+    if not math.isfinite(t1):
+        raise DomainError(f"t1 must be finite, got {t1}")
+    return t1
+
+
 def _t_alpha(alpha: float, nu: float) -> float:
     # T_nu^{-1}(1 - alpha): the one-tail quantile every threshold scales,
     # as -T_nu^{-1}(alpha), since 1 - alpha would round alpha's bits away.
@@ -112,4 +118,4 @@ def power_replication_estimate(t1: float, alpha: float, nu: float) -> float:
     if nu < 1.0:
         raise DomainError(f"need nu >= 1, got {nu}")
     t_a = t_quantile(alpha, nu)
-    return normal_cdf((t1 - t_a) / math.sqrt(1.0 + t_a * t_a / (2.0 * nu)))
+    return normal_cdf((_check_t1(t1) - t_a) / math.sqrt(1.0 + t_a * t_a / (2.0 * nu)))

@@ -39,6 +39,10 @@ GRID_MIN_R_B08 = 6.106705374435939
 U_MIN_B_NEAR_ALPHA, R_MIN_B_NEAR_ALPHA = 6.333882191608814e-07, 1.729133359127458
 U_MIN_NU05_B_NEAR_1, R_MIN_NU05_B_NEAR_1 = 304137040405584.7, 1.4545704965343847e23
 
+# C_LOW, nu = 19, n = 20, |t1| = 6, with a, b from scipy's stdtrit: q2 lies past
+# the kink on t_crit's branch, q2 n = (6 / a)^2 - 1; q1 on t_rep's by brentq
+Q1_LOW_T6, Q2_LOW_T6 = 0.01491902258551725, 0.5520267672848169
+
 C_HALF = Criteria(alpha=0.05, beta=0.5)
 C_LOW = Criteria(alpha=0.05, beta=0.3)
 C_HIGH = Criteria(alpha=0.05, beta=0.8)
@@ -360,3 +364,28 @@ class TestQInterval:
         assert not outcome.q2_censored
         assert r_crit(criteria, nu, n, outcome.q1).r_q == pytest.approx(t1, rel=1e-8)
         assert r_crit(criteria, nu, n, outcome.q2).r_q == pytest.approx(t1, rel=1e-8)
+
+    def test_right_root_past_the_kink_is_on_t_crits_branch(self):
+        a, b = _quantiles(C_LOW, 19)
+        outcome = q_interval(6.0, C_LOW, 19, 20)
+        assert isinstance(outcome, QInterval)
+        u1, u2 = outcome.q1 * 20, outcome.q2 * 20
+        # b < 0: t_rep < t_crit once sqrt(1 + 2u) > -a / b
+        assert math.sqrt(1.0 + 2.0 * u1) < -a / b < math.sqrt(1.0 + 2.0 * u2)
+        assert outcome.q1 == pytest.approx(Q1_LOW_T6, rel=1e-12)
+        assert outcome.q2 == pytest.approx(Q2_LOW_T6, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(0.001, 0.45),
+        gap=st.floats(0.0, 1.0),
+        log_nu=st.floats(math.log(0.5), math.log(1e6)),
+    )
+    def test_ln_r_is_convex_in_ln_u(self, alpha, gap, log_nu):
+        # q_interval's Newton loop in ln u rests on this: no step passes a root
+        beta = alpha + 1e-3 + gap * (0.999999 - alpha - 1e-3)
+        v = np.linspace(-30.0, 30.0, 601)
+        criteria = Criteria(alpha=alpha, beta=beta)
+        ln_r = np.log(r_curve(criteria, math.exp(log_nu), 20, np.exp(v) / 20))
+        second = ln_r[:-2] - 2.0 * ln_r[1:-1] + ln_r[2:]
+        assert np.all(second >= -1e-12 * np.maximum(1.0, np.abs(ln_r[1:-1])))

@@ -48,6 +48,19 @@ class TestTStatistic:
         assert t == pytest.approx(1.0, rel=1e-15)
         assert nu == 14.0
 
+    def test_two_sample_pools_the_group_sds(self):
+        summary = ExperimentSummary.two_sample(8, 3.0, 3.0, 2.0, 4.0)
+        assert summary == ExperimentSummary(
+            ExperimentDesign.TWO_SAMPLE_EQUAL_N, 8, 1.0, 5.0 / math.sqrt(2.0)
+        )
+        # hypot, not the sum of squares, which would overflow at these sds
+        huge = ExperimentSummary.two_sample(20, 1.5e308, 1e308, 0.5e308, 1e308)
+        assert huge.mean == pytest.approx(1e308, rel=1e-15)
+        assert huge.sd == pytest.approx(1e308, rel=1e-15)
+        for sd, sd2 in ((-1.0, 1.7e308), (1.0, 0.0), (math.nan, 1.0)):
+            with pytest.raises(DomainError, match="must be positive"):
+                ExperimentSummary.two_sample(20, 2.0, sd, 0.0, sd2)
+
     def test_standard_error_below_the_float_range(self):
         # sd / sqrt(N) underflows to 0, but mean / sd does not
         for design in ExperimentDesign:

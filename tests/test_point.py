@@ -3,7 +3,16 @@ import math
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from distnull.criterion import Criteria, q_interval
+from distnull.distributional import (
+    DistributionalNull,
+    ExperimentDesign,
+    dist_p_value,
+    dist_test_from_t,
+    replication_probability,
+)
 from distnull.errors import DomainError
+from distnull.mc import SimConfig, simulate_replication
 from distnull.point import (
     point_p_value,
     point_test,
@@ -155,3 +164,25 @@ class TestPowerReplicationEstimate:
             power_replication_estimate(1.0, 0.05, 0.5)
         with pytest.raises(DomainError):
             power_replication_estimate(1.0, 0.6, 20)
+
+
+T1_TAKERS = {
+    "dist_p_value": lambda t1: dist_p_value(t1, 19, 20, DistributionalNull(0.1)),
+    "dist_test_from_t": lambda t1: dist_test_from_t(t1, 19, 20, DistributionalNull(0.1)),
+    "replication_probability": lambda t1: replication_probability(
+        t1, 0.05, 19, 20, DistributionalNull(0.1)
+    ),
+    "power_replication_estimate": lambda t1: power_replication_estimate(t1, 0.05, 19),
+    "q_interval": lambda t1: q_interval(t1, Criteria(alpha=0.05, beta=0.5), 19, 20),
+    "simulate_replication": lambda t1: simulate_replication(
+        t1, SimConfig(ExperimentDesign.ONE_SAMPLE, 20, 0.1, trials=10), 0.05
+    ),
+}
+
+
+@pytest.mark.parametrize("t1", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("call", list(T1_TAKERS.values()), ids=list(T1_TAKERS))
+def test_every_t1_taker_rejects_a_non_finite_t1(call, t1):
+    # one rule, one message: naming t1, not the t_cdf argument it would become
+    with pytest.raises(DomainError, match=r"^t1 must be finite, got (-?inf|nan)$"):
+        call(t1)
