@@ -10,11 +10,12 @@ u = qN, and their maximum
 
 has a convex logarithm in ln u: it blows up as q -> 0 (replication of a
 significant result under a near-point null is pure luck) and grows like
-sqrt(1 + qN) for large q.  Its minimum is a closed-form kink where t_rep
-falls to t_crit, or else t_rep's stationary point, found by Newton.  Newton
-in ln u from either side of it finds the crossings of R with |t1|: the
-q-range [q1, q2] over which a result meets both criteria; gamma = q2
-measures how much cross-experiment variability a result can tolerate.
+sqrt(1 + qN) for large q.  R has one evaluation: it neither cancels for beta
+near alpha nor overflows below u's ceiling.  Its minimum is a closed-form
+kink where t_rep falls to t_crit, or else t_rep's stationary point, found by
+Newton.  Newton in ln u from either side of it finds the crossings of R with
+|t1|: the q-range [q1, q2] over which a result meets both criteria; gamma =
+q2 measures how much cross-experiment variability a result can tolerate.
 """
 
 from __future__ import annotations
@@ -115,10 +116,19 @@ def _t_crit_u(a: float, u: float) -> float:
     return a * math.sqrt(1.0 + u)
 
 
+def _rep_terms(a: float, b: float, u: float) -> tuple[float, float, float]:
+    # t_rep = (1 + 1/u)(a sqrt(1 + u) + b sqrt((1 + 2u)/(1 + u))) = sqrt(1 + u) m / w, where
+    # w = u/(1 + u), s = sqrt(1 + 2u)/(1 + u) and m = a + b s = a w t_rep/t_crit > 0 never
+    # overflow; for b < 0, m = a + b - b w^2/(1 + s), as a + b s would cancel where b ~ -a.
+    w = u / (1.0 + u)
+    s = math.sqrt((1.0 + w) / (1.0 + u))
+    m = a + b * s if b >= 0.0 else a + b - b * w * w / (1.0 + s)
+    return w, s, m
+
+
 def _t_rep_u(a: float, b: float, u: float) -> float:
-    # (1 + 1/u) (a sqrt(1 + u) + b sqrt((1 + 2u) / (1 + u))), regrouped so
-    # that no factor overflows unless t_rep itself does, at either end of u.
-    return math.sqrt(1.0 + u) * ((a * (1.0 + u) + b * math.sqrt(1.0 + 2.0 * u)) / u)
+    w, _, m = _rep_terms(a, b, u)
+    return math.sqrt(1.0 + u) * (m / w)
 
 
 def _r_u(a: float, b: float, u: float) -> float:
@@ -152,19 +162,13 @@ def r_crit(criteria: Criteria, nu: float, n: int, q: float) -> JointCriterionRes
 
 
 def r_curve(criteria: Criteria, nu: float, n: int, q: np.ndarray) -> np.ndarray:
-    """Vectorized R_q over an array of positive q values."""
+    """``r_crit(...).r_q`` at each q of an array, with the same checks and messages."""
     import numpy as np
 
     q = np.asarray(q, dtype=float)
-    if np.any(q <= 0.0) or not np.all(np.isfinite(q)):
-        raise DomainError("all q values must be positive and finite")
     a, b = _quantiles(criteria, nu)
-    _qn(float(q.max(initial=0.0)), n)  # u rises with q: the largest q decides
-    u = q * n
-    root = np.sqrt(1.0 + u)
-    crit = a * root
-    rep = root * ((a * (1.0 + u) + b * np.sqrt(1.0 + 2.0 * u)) / u)
-    return np.maximum(rep, crit)
+    _check_n(n)  # an empty q still checks n
+    return np.array([_r_u(a, b, _qn(_check_q_positive(x), n)) for x in q.flat]).reshape(q.shape)
 
 
 def rule_of_thumb(alpha: float, nu: float) -> RuleOfThumb:
@@ -245,11 +249,7 @@ def q_interval(
         # so no step passes the root (the clamp to [lo, hi] only holds back rounding).
         lo, hi = sorted((u, u_min))
         for _ in range(100):
-            w = u / (1.0 + u)
-            s = math.sqrt((1.0 + w) / (1.0 + u))  # sqrt(1 + 2u) / (1 + u), unoverflowed
-            # m = a w t_rep / t_crit = a + b s > 0, summed for b < 0 via s = 1 - w^2 / (1 + s):
-            # a + b is exact where b ~ -a, and a + b s would cancel there at small u.
-            m = a + b * s if b >= 0.0 else a + b - b * w * w / (1.0 + s)
+            w, s, m = _rep_terms(a, b, u)
             gap = math.log(m / a) - math.log(w)
             f = 0.5 * math.log1p(u) + max(gap, 0.0) + ln_a_t
             slope = 0.5 * w + (w * (a + b * s / (1.0 + w)) / m - 1.0 if gap > 0.0 else 0.0)

@@ -354,6 +354,17 @@ class TestExitCodes:
         expected = t_quantile(0.95, 19) / (float(t) * 20)
         assert doc["result"]["q1"] == pytest.approx(expected, rel=1e-9)
 
+    def test_ceiling_near_float_limit_is_censored(self, capsys):
+        # u = q_ceiling * n = 1.6e308: R there is finite, and below |t|
+        code, out, err = run(capsys, [
+            "range", "--t", "1e200", "--nu", "19", "--n", "2", "--q-ceiling", "8e307",
+        ])
+        assert code == 0, err
+        rows = dict(line.split(maxsplit=1) for line in out.splitlines())
+        assert rows["q2_censored"] == "yes"
+        assert rows["q2"] == "8e+307"
+        assert rows["q1"] == "8.64566e-201"
+
     def test_kink_minimum_below_u_1e_minus_6(self, capsys):
         # R's minimum, 1.72913336 at qN ~ 6.3e-7, lies below |t|
         doc, _ = run_json(capsys, [

@@ -209,6 +209,10 @@ BETA = NUMBER | st.sampled_from(["0.0500001", "0.999999999999"])
 @example(values={
     "t": "1.46e23", "nu": "0.5", "n": "2", "alpha": None, "beta": "0.999999999999",
     "q_ceiling": "1e300", "format": None}, defaults=None)
+# u = q_ceiling * n = 1.6e308, where R once overflowed to nan
+@example(values={
+    "t": "1e200", "nu": "19", "n": "2", "alpha": None, "beta": None,
+    "q_ceiling": "8e307", "format": None}, defaults=None)
 def test_range(values, defaults):
     check(["range", *flags(**values)], defaults)
 

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -46,6 +47,16 @@ Q1_LOW_T6, Q2_LOW_T6 = 0.01491902258551725, 0.5520267672848169
 C_HALF = Criteria(alpha=0.05, beta=0.5)
 C_LOW = Criteria(alpha=0.05, beta=0.3)
 C_HIGH = Criteria(alpha=0.05, beta=0.8)
+# beta 4e-9 above alpha: a + b s cancels at small u unless it is summed as (a + b) - b w^2 / (1 + s)
+C_NEAR = Criteria(alpha=0.0038527756, beta=0.0038527756 + 4e-9)
+
+
+def t_rep_reference(a, b, u):
+    """t_rep = (1 + 1/u) (a sqrt(1 + u) + b sqrt((1 + 2u) / (1 + u))) at 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, b, u = Decimal(a), Decimal(b), Decimal(u)
+        return float((1 + 1 / u) * (a * (1 + u).sqrt() + b * ((1 + 2 * u) / (1 + u)).sqrt()))
 
 
 def test_criteria_validation():
@@ -94,6 +105,27 @@ class TestTRep:
         criteria = Criteria(alpha=0.05, beta=beta)
         assert t_rep(criteria, 19, n, q) > 0.0
 
+    def test_no_cancellation_for_beta_near_alpha(self):
+        a, b = _quantiles(C_NEAR, 10.34)
+        for q in np.logspace(-12, -8, 41):
+            ref = t_rep_reference(a, b, float(q) * 11)
+            assert t_rep(C_NEAR, 10.34, 11, float(q)) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(0.001, 0.45),
+        log_gap=st.floats(math.log(1e-9), math.log(1e-3)),
+        log_nu=st.floats(math.log(0.5), math.log(1e6)),
+        n=st.integers(2, 1000),
+        log_q=st.floats(math.log(1e-12), math.log(1e12)),
+    )
+    def test_matches_reference_for_beta_near_alpha(self, alpha, log_gap, log_nu, n, log_q):
+        criteria = Criteria(alpha=alpha, beta=alpha + math.exp(log_gap))
+        nu, q = math.exp(log_nu), math.exp(log_q)
+        a, b = _quantiles(criteria, nu)
+        ref = t_rep_reference(a, b, q * n)
+        assert t_rep(criteria, nu, n, q) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
 
 class TestRCrit:
     def test_r_is_the_max(self):
@@ -127,9 +159,33 @@ class TestRCrit:
 
     def test_curve_matches_pointwise_evaluation(self):
         q = np.logspace(-5, 3, 50)
-        curve = r_curve(C_HIGH, 19, 20, q)
-        for qi, ri in zip(q, curve):
-            assert ri == pytest.approx(r_crit(C_HIGH, 19, 20, float(qi)).r_q, rel=1e-12)
+        for criteria in (C_HIGH, C_NEAR):
+            curve = r_curve(criteria, 19, 20, q)
+            for qi, ri in zip(q, curve):
+                assert ri == r_crit(criteria, 19, 20, float(qi)).r_q
+
+    def test_finite_at_the_top_of_u(self):
+        res = r_crit(C_HALF, 19, 2, 8e307)
+        t_crit = t_quantile(0.95, 19) * math.sqrt(1.6e308)
+        assert res.t_crit == pytest.approx(t_crit, rel=1e-15)
+        assert res.t_rep == pytest.approx(t_crit, rel=1e-15)
+        assert res.r_q == res.t_crit
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(0.001, 0.45),
+        gap=st.floats(1e-6, 1.0),
+        log_nu=st.floats(math.log(0.5), math.log(1e6)),
+        n=st.integers(2, 10**5),
+        # u = qN over its whole float range, with the top decade drawn on its own
+        log_u=st.floats(math.log(1e-300), math.log(1.79e308))
+        | st.floats(math.log(1.79e307), math.log(1.79e308)),
+    )
+    def test_finite_over_the_range_of_u(self, alpha, gap, log_nu, n, log_u):
+        criteria = Criteria(alpha=alpha, beta=alpha + gap * (0.999 - alpha))
+        res = r_crit(criteria, math.exp(log_nu), n, math.exp(log_u) / n)
+        assert math.isfinite(res.r_q)
+        assert res.r_q >= res.t_crit
 
     @pytest.mark.parametrize(
         "call",
