@@ -13,7 +13,7 @@ Every submodule, and every public name, loads on first access, so
 ``import distnull`` loads none of them.  A name is looked up in the
 layers in dependency order and loads only the layers up to its own:
 ``from distnull import t_cdf`` loads ``errors`` and ``special``.  Only
-``varratio`` and ``mc`` need numpy; they are searched last.
+``mc`` needs numpy; it is searched last.
 """
 
 from importlib import import_module

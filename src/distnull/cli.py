@@ -9,8 +9,8 @@ spelt with underscores, values read literally, no % interpolation), else
 its built-in default.  A key the subcommand does not take is ignored,
 even if malformed.  Each subcommand imports only the layers it runs:
 test and replicate load point and distributional, range and thumb load
-criterion (with point), qest loads varratio and simulate loads mc (both
-with numpy).  --help, --version and usage errors import none of them.
+criterion (with point), qest loads varratio and simulate loads mc (with
+numpy).  --help, --version and usage errors import none of them.
 
 Exit codes: 0 success (a no-solution result is a success), 2 usage or
 data errors, 3 solver failure.

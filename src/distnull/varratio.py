@@ -9,13 +9,15 @@ evidence needed to pick a defensible q for the distributional tests.
 
 Conventions, since the underlying procedure leaves them open: both
 variances use the unbiased n-1 denominator, between-site variance
-weights every site mean equally regardless of cell size, and quantiles
-interpolate linearly between order statistics (the "type 7" rule,
-numpy's default).
+weights every site mean equally regardless of cell size, and the
+p-quantile interpolates linearly between the order statistics around index
+(n - 1)p (the "type 7" rule).  A mean is the exactly rounded sum of x/n,
+kept within the values' range: it cannot overflow, and n copies of v give v.
 """
 
 from __future__ import annotations
 
+import bisect
 import configparser
 import csv
 import math
@@ -23,9 +25,7 @@ import warnings
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, TextIO
-
-import numpy as np
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import DataFormatError, DegenerateSampleError, DomainError
 
@@ -97,14 +97,14 @@ class MultiSiteDataset:
     """Validated (measure, site) cells of measurement values.
 
     ``ingest`` and ``load_csv`` keep only cells of at least ``min_cell_n``
-    observations and measures at two or more sites.  Cell values are kept
-    sorted, so datasets built from permuted record streams are identical.
+    observations and measures at two or more sites.  Cells are sorted tuples,
+    so permuted record streams give identical datasets and no caller can edit one.
     """
 
-    def __init__(self, cells: dict[str, dict[str, np.ndarray]]):
+    def __init__(self, cells: dict[str, dict[str, Sequence[float]]]):
         self._cells = {
             measure: {
-                site: np.sort(np.asarray(values, dtype=float))
+                site: tuple(sorted(map(float, values)))
                 for site, values in sorted(sites.items())
             }
             for measure, sites in sorted(cells.items())
@@ -117,21 +117,19 @@ class MultiSiteDataset:
     def sites(self, measure: str) -> tuple[str, ...]:
         return tuple(self._lookup(measure))
 
-    def values(self, measure: str, site: str) -> np.ndarray:
+    def values(self, measure: str, site: str) -> tuple[float, ...]:
         sites = self._lookup(measure)
         if site not in sites:
             raise DomainError(f"no cell for measure {measure!r} at site {site!r}")
         return sites[site]
 
-    def site_means(self, measure: str) -> np.ndarray:
-        sites = self._lookup(measure)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan; _cell rejects it
-            return np.array([cell.mean() for cell in sites.values()])
+    def site_means(self, measure: str) -> list[float]:
+        return [_mean(cell) for cell in self._lookup(measure).values()]
 
     def is_empty(self) -> bool:
         return not self._cells
 
-    def _lookup(self, measure: str) -> dict[str, np.ndarray]:
+    def _lookup(self, measure: str) -> dict[str, tuple[float, ...]]:
         if measure not in self._cells:
             raise DomainError(f"no such measure {measure!r}")
         return self._cells[measure]
@@ -145,12 +143,12 @@ def _check_min_cell_n(min_cell_n: int) -> None:
 def _build(
     cells: dict[str, dict[str, list[float]]], min_cell_n: int, report: IngestReport
 ) -> MultiSiteDataset:
-    kept: dict[str, dict[str, np.ndarray]] = {}
+    kept: dict[str, dict[str, list[float]]] = {}
     for measure, sites in cells.items():
         qualifying = {}
         for site, values in sites.items():
             if len(values) >= min_cell_n:
-                qualifying[site] = np.asarray(values)
+                qualifying[site] = values
             else:
                 report.dropped_cells.append((measure, site, len(values)))
         if len(qualifying) >= 2:
@@ -279,13 +277,28 @@ class GroupSummary:
     q_hi: float
 
 
-def _variance(values: np.ndarray) -> float:
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan; _cell rejects it
-        return float(np.var(values, ddof=1))
+def _mean(values: Sequence[float]) -> float:
+    # halved terms keep fsum finite; the clamp caps an overflow and makes copies of v give v
+    n = len(values)
+    return min(max(2.0 * math.fsum(x / (2 * n) for x in values), min(values)), max(values))
 
 
-def _cell(measure: str, site: str, values: np.ndarray, between: float) -> VarianceRatioCell:
-    within = _variance(values)
+def _variance(values: Sequence[float]) -> float:
+    # d * d is inf past the float range, where d ** 2 raises; _cell rejects inf
+    m, n = _mean(values), len(values)
+    return _mean([d * d for d in (x - m for x in values)]) * (n / (n - 1))
+
+
+def _quantile(ordered: Sequence[float], p: float) -> float:
+    # type 7, lerping from the nearer order statistic as numpy's "linear" does
+    last = len(ordered) - 1
+    i = min(math.floor(last * p), last)
+    lo, hi, t = ordered[i], ordered[min(i + 1, last)], last * p - i
+    return hi - (hi - lo) * (1 - t) if t >= 0.5 else lo + (hi - lo) * t
+
+
+def _cell(measure: str, site: str, cell: Sequence[float], between: float) -> VarianceRatioCell:
+    within = _variance(cell)
     if within == 0.0:
         raise DegenerateSampleError(
             f"cell ({measure!r}, {site!r}) has zero within-site variance"
@@ -358,7 +371,7 @@ def restrict(
     result may be empty; downstream summaries handle that with warnings
     rather than errors.
     """
-    kept: dict[str, dict[str, np.ndarray]] = {}
+    kept: dict[str, dict[str, tuple[float, ...]]] = {}
     for measure in dataset.measures:
         sites = {
             site: dataset.values(measure, site)
@@ -371,13 +384,9 @@ def restrict(
 
 
 def _summary_row(group: str, qs: list[float]) -> GroupSummary:
-    arr = np.asarray(qs)
-    lo, hi = np.quantile(arr, [0.025, 0.975])
-    with np.errstate(over="ignore"):
-        mean = float(arr.mean())
-    if not math.isfinite(mean):  # the sum overflowed; the mean is at most max(q)
-        mean = float(np.sum(arr / arr.size))
-    return GroupSummary(group, len(qs), mean, float(lo), float(hi))
+    ordered = sorted(qs)
+    lo, hi = _quantile(ordered, 0.025), _quantile(ordered, 0.975)
+    return GroupSummary(group, len(qs), _mean(ordered), lo, hi)
 
 
 def _check_disjoint(groups: list[MeasureGroupSpec]) -> None:
@@ -533,21 +542,22 @@ def write_cells_csv(cells: list[VarianceRatioCell], dest: str | TextIO) -> None:
 
 
 def write_histogram_csv(q_values: Iterable[float], dest: str | TextIO) -> None:
-    """Histogram of q values in bins of width 0.01: bin_lo,bin_hi,count."""
-    values = np.asarray(list(q_values), dtype=float)
-    top = float(values.max()) / _BIN_WIDTH if values.size else 0.0
-    if not top <= _MAX_BINS:
+    """Histogram of q in bins [lo, hi) of width 0.01, the last closed: bin_lo,bin_hi,count."""
+    values = sorted(q_values)
+    # a nan sorts anywhere, so look for it before trusting values[-1]
+    high = next((v for v in values if math.isnan(v)), values[-1] if values else 0.0)
+    if not high / _BIN_WIDTH <= _MAX_BINS:
         raise DomainError(
-            f"q up to {float(values.max())!r} needs more than {_MAX_BINS} histogram "
+            f"q up to {high!r} needs more than {_MAX_BINS} histogram "
             f"bins of width {_BIN_WIDTH!r}"
         )
     with _opened(dest, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_lo", "bin_hi", "count"])
-        if values.size == 0:
+        if not values:
             return
-        n_bins = max(1, math.ceil(top))
-        edges = np.arange(n_bins + 1) * _BIN_WIDTH
-        counts, _ = np.histogram(values, bins=edges)
-        for i, count in enumerate(counts):
-            writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])), int(count)])
+        edges = [i * _BIN_WIDTH for i in range(max(1, math.ceil(high / _BIN_WIDTH)) + 1)]
+        below = [bisect.bisect_left(values, e) for e in edges[:-1]]
+        below.append(bisect.bisect_right(values, edges[-1]))
+        for i in range(len(edges) - 1):
+            writer.writerow([repr(edges[i]), repr(edges[i + 1]), below[i + 1] - below[i]])

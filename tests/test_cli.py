@@ -659,6 +659,24 @@ class TestQest:
         assert err.count("skipping degenerate cell") == 1
         assert "warning: skipping degenerate cell: cell ('other', 'lab2')" in err
 
+    def test_constant_cell_that_is_not_dyadic_is_skipped(self, capsys, tmp_path):
+        # 0.1 + 0.1 + 0.1 rounds above 0.3, so a mean taken as sum / n is not 0.1 and
+        # would leave a within-site variance near 1e-34 (q near 1e33)
+        path = tmp_path / "constant.csv"
+        path.write_text(
+            "site,measure,value\nA,m,0.1\nA,m,0.1\nA,m,0.1\nB,m,1\nB,m,2\nC,m,3\nC,m,5\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, ["qest", "--data", str(path), "--format", "csv"])
+        assert code == 0
+        assert err == (
+            "warning: skipping degenerate cell: cell ('m', 'A') has zero within-site variance\n"
+        )
+        assert out.splitlines() == [
+            "group,datapoints,mean_q,q025,q975",
+            "m,2,4.879166666666666,2.0980416666666666,7.660291666666667",
+        ]
+
     def test_whole_stderr_in_order(self, capsys, tmp_path):
         data = tmp_path / "messy.csv"
         data.write_text(
@@ -704,7 +722,7 @@ class TestQest:
             argv = ["qest", "--data", str(path), "--format", "csv", *extra]
             code, out, err = run(capsys, argv)
             assert "nan" not in out.lower() and "inf" not in out.lower()
-            assert "encountered" not in err  # numpy's own RuntimeWarning stays out
+            assert "encountered" not in err  # no float RuntimeWarning leaks
             return code, list(csv.DictReader(io.StringIO(out))), err
 
         return go

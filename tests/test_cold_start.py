@@ -1,5 +1,5 @@
 """Start-up cost: each import and subcommand loads only the layers it uses,
-and numpy only where one of those needs it.
+and numpy only for ``simulate`` (``mc``).
 
 Each case runs in a fresh interpreter, since an import made by any other
 test would otherwise already sit in ``sys.modules``.
@@ -80,11 +80,17 @@ def test_closed_form_subcommands_skip_numpy(argv, code, layers):
     assert _cli(argv) == {"code": code, "numpy": False, "layers": layers}
 
 
-def test_qest_and_simulate_load_numpy(tmp_path):
+def test_qest_skips_numpy_and_simulate_loads_it(tmp_path):
     data = tmp_path / "data.csv"
     data.write_text("site,measure,value\na,m,1\na,m,2\nb,m,2\nb,m,5\n", encoding="utf-8")
-    qest = _cli(["qest", "--data", str(data)])
-    assert qest == {"code": 0, "numpy": True, "layers": ["cli", "errors", "varratio"]}
+    groups = tmp_path / "groups.ini"
+    groups.write_text("[g]\nmeasures = m\n", encoding="utf-8")
+    # every qest path: groups, a site filter and both output files
+    qest = _cli(["qest", "--data", str(data), "--groups", str(groups), "--sites", "a,b",
+                 "--cells-out", str(tmp_path / "cells.csv"),
+                 "--hist-out", str(tmp_path / "hist.csv")])
+    assert qest == {"code": 0, "numpy": False, "layers": ["cli", "errors", "varratio"]}
+    assert (tmp_path / "cells.csv").exists() and (tmp_path / "hist.csv").exists()
     simulate = ["simulate", "--n", "20", "--q-true", "0", "--trials", "2000"]
     assert _cli(simulate) == {"code": 0, "numpy": True, "layers": sorted([*CLOSED_FORM, "mc"])}
 
@@ -101,7 +107,7 @@ def test_package_import_skips_numpy():
         ("from distnull import DistributionalNull", False,
          ["distributional", "errors", "point", "special"]),
         ("from distnull import cli", False, ["cli", "errors"]),
-        ("from distnull import summarize", True,
+        ("from distnull import summarize", False,
          ["criterion", "distributional", "errors", "point", "special", "varratio"]),
     ],
     ids=["special", "distributional", "cli", "varratio"],

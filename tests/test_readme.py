@@ -3,6 +3,8 @@
 Every ```text block that opens with a ``$ distnull ...`` line and reads no
 data file is run.  Human output must match the block byte for byte; JSON
 and CSV output must match it field by field, with numbers to rel 1e-12.
+The ``qest`` block runs on the ```csv block just before it, written to a
+temporary ``measurements.csv``, and must match byte for byte.
 """
 
 import csv
@@ -23,6 +25,9 @@ TRANSCRIPTS = [
     for command, shown in BLOCK.findall(README.read_text(encoding="utf-8"))
     if "--data" not in command
 ]
+QEST = re.compile(
+    r"```csv\n(.*?)```\n\n```text\n\$ distnull (qest --data measurements\.csv)\n(.*?)```", re.S
+)
 
 
 def output_format(argv):
@@ -75,3 +80,11 @@ def test_transcript_matches_the_cli(capsys, argv, shown):
         assert_same(csv_cells(out), csv_cells(shown))
     else:
         assert out == shown
+
+
+def test_qest_transcript_runs_on_the_csv_shown(capsys, tmp_path, monkeypatch):
+    ((data, command, shown),) = QEST.findall(README.read_text(encoding="utf-8"))
+    (tmp_path / "measurements.csv").write_text(data, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(command)) == 0
+    assert capsys.readouterr() == (shown, "")

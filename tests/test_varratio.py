@@ -2,10 +2,14 @@ import csv
 import io
 import math
 import random
+import re
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from distnull import varratio
 from distnull.errors import DataFormatError, DegenerateSampleError, DomainError
 from distnull.varratio import (
     IngestReport,
@@ -102,6 +106,14 @@ class TestIngest:
     def test_values_are_stored_sorted(self):
         dataset, _ = ingest([rec("A", "m", v) for v in (3, 1, 2)] * 2 + [rec("B", "m", 0), rec("B", "m", 1)])
         assert list(dataset.values("m", "A")) == [1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
+
+    def test_cells_cannot_be_changed_through_values(self):
+        dataset, _ = ingest(hand_records())
+        before = cell_q(dataset, "m", "A")
+        with pytest.raises(TypeError):
+            dataset.values("m", "A")[0] = 100.0
+        assert list(dataset.values("m", "A")) == [-1.0, 0.0, 1.0]
+        assert cell_q(dataset, "m", "A") == before
 
     def test_small_cells_dropped(self):
         rows = hand_records() + [rec("D", "m", 9.0)]
@@ -222,9 +234,49 @@ class TestCellQ:
             cells = all_cells(dataset)
         assert [c.site for c in cells] == ["A", "B", "C"]
 
+    def test_constant_cell_that_is_not_dyadic_is_degenerate(self):
+        # three copies of 0.1 do not sum to exactly 0.3, but their mean is 0.1
+        dataset, _ = ingest(hand_records() + [rec("D", "m", 0.1) for _ in range(3)])
+        with pytest.raises(DegenerateSampleError, match="zero within-site variance"):
+            cell_q(dataset, "m", "D")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        value=st.floats(allow_nan=False, allow_infinity=False),
+        n=st.integers(min_value=2, max_value=300),
+    )
+    @example(value=1.7976931348623157e308, n=3)
+    @example(value=5e-324, n=3)
+    def test_copies_of_one_value_are_degenerate(self, value, n):
+        rows = [rec("A", "m", value) for _ in range(n)] + [rec("B", "m", 1.0), rec("B", "m", 2.0)]
+        dataset, _ = ingest(rows)
+        with pytest.raises(DegenerateSampleError, match="zero within-site variance"):
+            cell_q(dataset, "m", "A")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=300).filter(
+            lambda ks: len(set(ks)) > 1
+        ),
+        offset=st.floats(-1e4, 1e4),
+        exponent=st.integers(-100, 100),
+    )
+    def test_within_variance_matches_exact_arithmetic(self, steps, offset, exponent):
+        # offset bounds the mean at 1e4 spreads, so one float mean is enough
+        spread = 10.0**exponent
+        values = [spread * (offset + k) for k in steps]
+        rows = [rec("A", "m", v) for v in values] + [rec("B", "m", 0.0), rec("B", "m", 1.0)]
+        dataset, _ = ingest(rows)
+        exact = [Fraction(v) for v in values]
+        mean = sum(exact) / len(exact)
+        want = sum((v - mean) ** 2 for v in exact) / (len(exact) - 1)
+        got = cell_q(dataset, "m", "A").within_var
+        assert abs(Fraction(got) - want) <= Fraction(1e-15) * want
+
     def test_overflowed_variances_make_a_cell_unusable(self):
         # site A's squared deviations overflow; site B's mean is 1e308, so the
-        # between-site variance is inf for every cell of measure "b"
+        # between-site variance is inf for every cell of measure "b", though
+        # cell (b, B) itself is constant and so rejected first for that
         rows = [rec("A", "a", v) for v in (1e308, -1e308)] + [
             rec("B", "a", v) for v in (1.0, 2.0)
         ]
@@ -232,11 +284,18 @@ class TestCellQ:
             rec("B", "b", v) for v in (1e308, 1e308)
         ]
         dataset, _ = ingest(rows)
-        for measure, site in [("a", "A"), ("b", "A"), ("b", "B")]:
+        for measure, site in [("a", "A"), ("b", "A")]:
             with pytest.raises(DegenerateSampleError, match="beyond float range"):
                 cell_q(dataset, measure, site)
-        with pytest.warns(UserWarning, match="beyond float range"):
+        with pytest.raises(DegenerateSampleError, match="zero within-site variance"):
+            cell_q(dataset, "b", "B")
+        with pytest.warns(UserWarning) as record:
             cells = all_cells(dataset)
+        assert [str(w.message).split(": ")[1] for w in record] == [
+            "cell ('a', 'A') is beyond float range",
+            "cell ('b', 'A') is beyond float range",
+            "cell ('b', 'B') has zero within-site variance",
+        ]
         assert [(c.measure, c.site, c.q) for c in cells] == [("a", "B", 2.25)]
 
     def test_ratio_overflow_makes_a_cell_unusable(self):
@@ -346,6 +405,20 @@ class TestSummarize:
         assert len(out) == 1
         assert out[0].datapoints == 1
         assert out[0].mean_q == out[0].q_lo == out[0].q_hi
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        qs=st.lists(
+            st.floats(0.0, 1e300) | st.floats(0.0, 10.0) | st.integers(0, 1000).map(float),
+            min_size=1,
+            max_size=200,
+        )
+    )
+    @example(qs=[0.0, 1.0])
+    def test_quantiles_are_numpys_linear_rule_bit_for_bit(self, qs):
+        row = varratio._summary_row("g", qs)
+        want = np.quantile(np.array(qs), [0.025, 0.975])
+        assert (row.q_lo, row.q_hi) == (float(want[0]), float(want[1]))
 
     def test_mean_of_huge_ratios_is_finite(self):
         # three cells with q = 6.75e307 each: their sum overflows, the mean does not
@@ -483,12 +556,37 @@ class TestWriters:
         write_histogram_csv([], buf)
         assert buf.getvalue().splitlines() == ["bin_lo,bin_hi,count"]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        qs=st.lists(
+            st.floats(0.0, 20.0) | st.integers(0, 2000).map(lambda i: i * 0.01),
+            max_size=60,
+        )
+    )
+    @example(qs=[])
+    @example(qs=[0.0])
+    @example(qs=[0.3, 0.07, 0.07, 1.0])
+    def test_histogram_is_numpys_bit_for_bit(self, qs):
+        buf = io.StringIO()
+        write_histogram_csv(qs, buf)
+        got = list(csv.reader(io.StringIO(buf.getvalue())))[1:]
+        if not qs:
+            assert got == []
+            return
+        n_bins = max(1, math.ceil(max(qs) / 0.01))
+        counts, edges = np.histogram(np.array(qs), bins=np.arange(n_bins + 1) * 0.01)
+        assert got == [
+            [repr(float(edges[i])), repr(float(edges[i + 1])), str(int(count))]
+            for i, count in enumerate(counts)
+        ]
+
     @pytest.mark.parametrize("top", [10_000.01, 2.3e43, math.inf, math.nan])
     def test_histogram_refuses_too_many_bins(self, top):
-        buf = io.StringIO()
-        with pytest.raises(DomainError, match="histogram bins"):
-            write_histogram_csv([0.5, top], buf)
-        assert buf.getvalue() == ""
+        for values in ([0.5, top], [top, 0.5]):  # a nan first may sort anywhere
+            buf = io.StringIO()
+            with pytest.raises(DomainError, match=re.escape(f"q up to {top!r} needs more")):
+                write_histogram_csv(values, buf)
+            assert buf.getvalue() == ""
 
     def test_writers_accept_paths(self, tmp_path):
         dataset, _ = ingest(hand_records())
