@@ -6,14 +6,21 @@ and z = q / (1 + q),
 
     T_nu(-|x|) = I_w(nu/2, 1/2) / 2 = 1/2 - I_z(1/2, nu/2) / 2,
 
-where I is the regularized incomplete beta function, evaluated with a
-continued fraction in w or in z, whichever converges fast.  From
-nu = 1e4 on, Hill's (1970, CACM Algorithm 395) series maps the t onto a
-normal deviate instead.  Quantiles invert the same lower tail with
-Newton steps from Hill's (1970, CACM Algorithm 396) start value,
-safeguarded by bisection; below nu = 1, where Hill's expansion does not
-hold, the t's power-law tail gives the start instead.  Plain floats
-throughout; no external dependencies.
+where I is the regularized incomplete beta function.  Three methods
+split the range of nu.  Below nu = 1e3, a continued fraction in w or in
+z, whichever converges fast.  From nu = 1e3 to 1e4, DiDonato & Morris's
+(1992, ACM TOMS Algorithm 708) BGRAT series for I_w(nu/2, 1/2), an
+expansion about erfc of the square root of (nu/2 - 1/4) ln(1 + q),
+wherever that product lies strictly between 0 and 700; the continued
+fraction takes the rest (q underflowed to 0, or a tail below about
+1e-306).  From nu = 1e4 on, Hill's (1970, CACM Algorithm 395) series
+maps the t onto a normal deviate.
+
+Quantiles invert the same lower tail with Newton steps from Hill's
+(1970, CACM Algorithm 396) start value, safeguarded by bisection; below
+nu = 1, where Hill's expansion does not hold, the t's power-law tail
+gives the start instead.  Plain floats throughout; no external
+dependencies.
 """
 
 from __future__ import annotations
@@ -98,6 +105,51 @@ def _log_beta_half(a: float) -> float:
     ) / a
 
 
+def _bgrat_d() -> tuple[float, ...]:
+    # d_1 .. d_30 of the BGRAT series at b = 1/2, by DiDonato & Morris's
+    # recurrence; the band that uses them needs at most 12.
+    c = [1.0 / math.factorial(2 * n + 1) for n in range(1, 31)]
+    d: list[float] = []
+    for n in range(1, 31):
+        s = sum((0.5 * i - n) * c[i - 1] * d[n - i - 1] for i in range(1, n))
+        d.append(-0.5 * c[n - 1] + s / n)
+    return tuple(d)
+
+
+_BGRAT_D = _bgrat_d()
+# BGRAT's largest z: below it e^-z, and with it the tail, is a normal float.
+_BGRAT_Z_MAX = 700.0
+
+
+def _bgrat_half(a: float, z: float, ln_1q: float) -> float:
+    # I_w(a, 1/2) / 2 for w = 1 / (1 + q), a >= 500 and 0 < z < _BGRAT_Z_MAX,
+    # z = (a - 1/4) ln(1 + q): DiDonato & Morris (1992, ACM TOMS Algorithm 708)
+    # BGRAT, Temme's series about the incomplete gamma Q(1/2, z) = erfc(sqrt z),
+    # with its terms J_n scaled by r = e^-z sqrt(z / pi).
+    nu = a - 0.25
+    y = math.sqrt(z)
+    r = math.exp(-z) * math.sqrt(z / math.pi)
+    # erfc(y) moves by 2z times y's rounding error: add back z - y^2, from
+    # Dekker's exact square of y.
+    c = 134217729.0 * y
+    hi = c - (c - y)
+    lo = y - hi
+    yy = y * y
+    gam_q = math.erfc(y) - r * ((z - yy) - ((hi * hi - yy) + 2.0 * hi * lo + lo * lo)) / z
+    v = 0.25 / (nu * nu)
+    t2 = 0.25 * ln_1q * ln_1q
+    j = s = gam_q / r
+    t = 1.0
+    for n, d in enumerate(_BGRAT_D):
+        b2n = 2 * n + 0.5
+        j = (b2n * (b2n + 1.0) * j + (z + b2n + 1.0) * t) * v
+        t *= t2
+        s += d * j
+        if abs(d * j) <= 1e-16 * s:
+            break
+    return 0.5 * math.sqrt(math.pi / nu) * math.exp(-_log_beta_half(a)) * r * s
+
+
 def _t_tail(x: float, nu: float) -> float:
     # T_nu(-|x|) for finite x != 0, through the logs of w and z (see the
     # module docstring): x^2 and 1 - w are never formed.
@@ -115,6 +167,9 @@ def _t_tail(x: float, nu: float) -> float:
               + y + 3.0) / b + 1.0) * math.sqrt(y)
         return 0.5 * math.erfc(y / math.sqrt(2.0))
     a = 0.5 * nu
+    z = (a - 0.25) * ln_1q  # BGRAT's variable, not the z of I_z
+    if nu >= 1e3 and 0.0 < z < _BGRAT_Z_MAX:
+        return _bgrat_half(a, z, ln_1q)
     front = math.exp(0.5 * (ln_q - ln_1q) - a * ln_1q - _log_beta_half(a))
     w = 1.0 / (1.0 + q)
     if w < (a + 1.0) / (a + 2.5):

@@ -1,6 +1,7 @@
 """Special-function checks against closed forms and frozen reference values."""
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -66,6 +67,16 @@ T_TAIL_TABLE = [
     (-10.0, 1e10, 7.619854967046964e-24), (-37.0, 1e10, 5.7258398866338214e-300),
     (-2.0, 1e12, 0.022750131948314174), (-37.0, 1e12, 5.725573909103029e-300),
     (-6.0, 1e15, 9.865876450380296e-10), (-37.0, 1e15, 5.725571225211459e-300),
+]
+
+# (x, nu) -> scipy.special.stdtr(nu, x) for 1e3 <= nu < 1e4, frozen: points
+# where the continued fraction erred most in a sweep against 40-digit mpmath
+# (3.4e-13 to 6.1e-13; scipy is within 1e-15 of mpmath at each).
+T_BAND_TABLE = [
+    (-1.8, 9628.0, 0.03594596497279124),
+    (-3.0, 9981.0, 0.0013532304307011908),
+    (-1.92, 6087.0, 0.02745229057964724),
+    (-1.78, 9266.0, 0.03755436136324934),
 ]
 
 # (x, nu) -> scipy.special.ndtr(x) for nu >= 1e16, frozen.  scipy's stdtr
@@ -147,6 +158,10 @@ class TestTCdf:
         for x, nu, expected in T_TAIL_TABLE:
             assert t_cdf(x, nu) == pytest.approx(expected, rel=1e-12, abs=0.0), (x, nu)
 
+    def test_frozen_band(self):
+        for x, nu, expected in T_BAND_TABLE:
+            assert t_cdf(x, nu) == pytest.approx(expected, rel=2e-14, abs=0.0), (x, nu)
+
     def test_normal_limit(self):
         for x, nu, expected in NORMAL_LIMIT_TABLE:
             assert t_cdf(x, nu) == pytest.approx(expected, rel=1e-12, abs=0.0), (x, nu)
@@ -185,7 +200,7 @@ class TestTCdf:
     @given(
         x1=st.floats(-60.0, 60.0),
         x2=st.floats(-60.0, 60.0),
-        nu=st.sampled_from([0.7, 1.0, 2.5, 10.0, 100.0, 5000.0]),
+        nu=st.sampled_from([0.7, 1.0, 2.5, 10.0, 100.0, 1e3, 5000.0, 9999.0]),
     )
     def test_monotone(self, x1, x2, nu):
         lo, hi = min(x1, x2), max(x1, x2)
@@ -193,10 +208,106 @@ class TestTCdf:
 
     @given(
         x=st.floats(-60.0, 60.0),
-        nu=st.sampled_from([0.7, 1.0, 2.5, 10.0, 100.0, 5000.0]),
+        nu=st.sampled_from([0.7, 1.0, 2.5, 10.0, 100.0, 1e3, 5000.0, 9999.0]),
     )
     def test_reflection(self, x, nu):
         assert abs(t_cdf(x, nu) + t_cdf(-x, nu) - 1.0) < 3e-16
+
+
+def first_float(crossed, lo, hi):
+    """The smallest float in (lo, hi] where crossed holds, for 0 < lo < hi,
+    crossed(lo) false and crossed(hi) true, and one change between."""
+    bits = lambda v: struct.unpack("<q", struct.pack("<d", v))[0]
+    value = lambda i: struct.unpack("<d", struct.pack("<q", i))[0]
+    i, j = bits(lo), bits(hi)
+    while j - i > 1:
+        m = (i + j) // 2
+        i, j = (i, m) if crossed(value(m)) else (m, j)
+    return value(j)
+
+
+def bgrat(x, nu):
+    # The BGRAT series at (x, nu), whichever method t_cdf takes there.
+    ln_1q = math.log1p(x * (x / nu))
+    return special._bgrat_half(0.5 * nu, (0.5 * nu - 0.25) * ln_1q, ln_1q)
+
+
+def assert_non_increasing(tails):
+    # Slack of a few ulps for the series' rounding near 1/2.
+    for a, b in zip(tails, tails[1:]):
+        assert b <= a * (1.0 + 1e-15), (a, b)
+
+
+class TestTCdfSwitches:
+    """t_cdf changes method at nu = 1e3 and 1e4, where BGRAT's
+    z = (nu/2 - 1/4) ln(1 + q) reaches 700, and where q underflows to 0.
+    At the first input past each switch the method there agrees with
+    BGRAT, and lower tails fall across it as |x| or nu grows."""
+
+    @pytest.fixture
+    def method(self, monkeypatch):
+        # The method t_cdf takes at (x, nu), and its value.
+        calls = []
+
+        def counted(name):
+            f = getattr(special, name)
+
+            def call(*args):
+                calls.append(name)
+                return f(*args)
+
+            return call
+
+        for name in ("_betacf", "_bgrat_half"):
+            monkeypatch.setattr(special, name, counted(name))
+
+        def run(x, nu):
+            calls.clear()
+            value = t_cdf(x, nu)
+            return (calls[0] if calls else "hill"), value
+
+        return run
+
+    @pytest.mark.parametrize("nu, below, above, rel, xs", [
+        (1e3, "_betacf", "_bgrat_half", 1e-13,
+         [-55.0, -50.0, -37.0, -20.0, -6.0, -2.0, -0.5, -1e-3, -1e-8]),
+        # Hill's series is itself off by up to 8.2e-13 at x = -38.7 (against
+        # 40-digit mpmath, where BGRAT is off by 4e-14); T_TAIL_TABLE holds
+        # it to 1e-12.
+        (1e4, "_bgrat_half", "hill", 1e-12,
+         [-38.7, -37.0, -30.0, -20.0, -6.0, -2.0, -0.5, -1e-3, -1e-8]),
+    ])
+    def test_nu_switch(self, method, nu, below, above, rel, xs):
+        nu_below = math.nextafter(nu, 0.0)
+        for x in xs:
+            assert method(x, nu_below)[0] == below and method(x, nu)[0] == above, x
+            # The side that does not take BGRAT, against BGRAT at its input.
+            at = nu if below == "_bgrat_half" else nu_below
+            assert t_cdf(x, at) == pytest.approx(bgrat(x, at), rel=rel, abs=0.0), x
+            assert_non_increasing([t_cdf(x, nu * (1.0 + k * 1e-9)) for k in range(-3, 4)])
+
+    @pytest.mark.parametrize("nu", [1e3, 5e3, 9999.0])
+    def test_deep_tail_switch(self, method, nu):
+        # z = 700 at x = 55.3 for nu = 1e3 and x = 40.2 for nu = 5e3.  Both
+        # methods form e^-z from z rounded near 700, so each can be off by
+        # about z times 2^-53 and they differ by up to 1.9e-13 (400 nu in the
+        # band); 1e-13 is below what either method can hold here.
+        crossed = lambda x: (0.5 * nu - 0.25) * math.log1p(x * (x / nu)) >= 700.0
+        x = first_float(crossed, 1.0, 100.0)
+        assert method(-math.nextafter(x, 0.0), nu)[0] == "_bgrat_half"
+        assert method(-x, nu)[0] == "_betacf"
+        assert t_cdf(-x, nu) == pytest.approx(bgrat(-x, nu), rel=2e-13, abs=0.0)
+        assert_non_increasing([t_cdf(-x * (1.0 + k * 1e-12), nu) for k in range(-3, 4)])
+
+    @pytest.mark.parametrize("nu", [1e3, 5e3, 9999.0])
+    def test_underflow_switch(self, method, nu):
+        # Where q underflows, z is 0 and the continued fraction takes over.
+        x = first_float(lambda x: x * (x / nu) > 0.0, 1e-170, 1e-150)
+        x_below = math.nextafter(x, 0.0)
+        assert method(-x_below, nu)[0] == "_betacf" and method(-x, nu)[0] == "_bgrat_half"
+        assert t_cdf(-x, nu) == pytest.approx(t_cdf(-x_below, nu), rel=1e-13, abs=0.0)
+        assert t_cdf(x, nu) == pytest.approx(t_cdf(x_below, nu), rel=1e-13, abs=0.0)
+        assert_non_increasing([t_cdf(-x * (1.0 + k * 1e-3), nu) for k in range(-3, 4)])
 
 
 class TestTQuantile:
