@@ -7,14 +7,17 @@ and z = q / (1 + q),
     T_nu(-|x|) = I_w(nu/2, 1/2) / 2 = 1/2 - I_z(1/2, nu/2) / 2,
 
 where I is the regularized incomplete beta function.  Three methods
-split the range of nu.  Below nu = 1e3, a continued fraction in w or in
-z, whichever converges fast.  From nu = 1e3 to 1e4, DiDonato & Morris's
+split the range of nu and x.  From nu = 30 to 1e4, DiDonato & Morris's
 (1992, ACM TOMS Algorithm 708) BGRAT series for I_w(nu/2, 1/2), an
-expansion about erfc of the square root of (nu/2 - 1/4) ln(1 + q),
-wherever that product lies strictly between 0 and 700; the continued
-fraction takes the rest (q underflowed to 0, or a tail below about
-1e-306).  From nu = 1e4 on, Hill's (1970, CACM Algorithm 395) series
-maps the t onto a normal deviate.
+expansion about erfc of the square root of u = (nu/2 - 1/4) ln(1 + q)
+(BGRAT's z in the code), wherever ln(1 + q) <= 2 and 0.2 <= u < 700.
+A continued fraction in w or in z, whichever converges fast, takes the
+rest below nu = 1e4: below nu = 30, where the series loses accuracy;
+past ln(1 + q) = 2, where the fraction takes only a few steps; below
+u = 0.2, near the median, where the fraction's z-form gives 1/2 - T
+itself and is the more accurate of the two; and past u = 700, tails
+below about 1e-306.  From nu = 1e4 on, Hill's (1970, CACM Algorithm
+395) series maps the t onto a normal deviate.
 
 Quantiles invert the same lower tail with Newton steps from Hill's
 (1970, CACM Algorithm 396) start value, safeguarded by bisection; below
@@ -107,7 +110,8 @@ def _log_beta_half(a: float) -> float:
 
 def _bgrat_d() -> tuple[float, ...]:
     # d_1 .. d_30 of the BGRAT series at b = 1/2, by DiDonato & Morris's
-    # recurrence; the band that uses them needs at most 12.
+    # recurrence; the band that uses them needs at most 16 (at nu = 30 and
+    # ln(1 + q) = 2).
     c = [1.0 / math.factorial(2 * n + 1) for n in range(1, 31)]
     d: list[float] = []
     for n in range(1, 31):
@@ -117,15 +121,19 @@ def _bgrat_d() -> tuple[float, ...]:
 
 
 _BGRAT_D = _bgrat_d()
-# BGRAT's largest z: below it e^-z, and with it the tail, is a normal float.
+# BGRAT's z range.  BGRAT gives T, so near the median 1/2 - T carries T's
+# error and the lower tail can pass 1/2; below _BGRAT_Z_MIN the fraction's
+# z-form, which gives 1/2 - T itself, is the more accurate for both.  Below
+# _BGRAT_Z_MAX, e^-z, and with it the tail, is a normal float.
+_BGRAT_Z_MIN = 0.2
 _BGRAT_Z_MAX = 700.0
 
 
 def _bgrat_half(a: float, z: float, ln_1q: float) -> float:
-    # I_w(a, 1/2) / 2 for w = 1 / (1 + q), a >= 500 and 0 < z < _BGRAT_Z_MAX,
-    # z = (a - 1/4) ln(1 + q): DiDonato & Morris (1992, ACM TOMS Algorithm 708)
-    # BGRAT, Temme's series about the incomplete gamma Q(1/2, z) = erfc(sqrt z),
-    # with its terms J_n scaled by r = e^-z sqrt(z / pi).
+    # I_w(a, 1/2) / 2 for w = 1 / (1 + q), a >= 15, ln(1 + q) <= 2 and
+    # 0 < z < _BGRAT_Z_MAX, z = (a - 1/4) ln(1 + q): DiDonato & Morris (1992,
+    # ACM TOMS Algorithm 708) BGRAT, Temme's series about the incomplete gamma
+    # Q(1/2, z) = erfc(sqrt z), with its terms J_n scaled by r = e^-z sqrt(z / pi).
     nu = a - 0.25
     y = math.sqrt(z)
     r = math.exp(-z) * math.sqrt(z / math.pi)
@@ -168,7 +176,7 @@ def _t_tail(x: float, nu: float) -> float:
         return 0.5 * math.erfc(y / math.sqrt(2.0))
     a = 0.5 * nu
     z = (a - 0.25) * ln_1q  # BGRAT's variable, not the z of I_z
-    if nu >= 1e3 and 0.0 < z < _BGRAT_Z_MAX:
+    if nu >= 30.0 and ln_1q <= 2.0 and _BGRAT_Z_MIN <= z < _BGRAT_Z_MAX:
         return _bgrat_half(a, z, ln_1q)
     front = math.exp(0.5 * (ln_q - ln_1q) - a * ln_1q - _log_beta_half(a))
     w = 1.0 / (1.0 + q)

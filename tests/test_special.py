@@ -175,6 +175,21 @@ class TestTCdf:
         # scipy.special.stdtr(19, 1e-9), frozen: no rounding to exactly 1/2
         assert t_cdf(1e-9, 19.0) == pytest.approx(0.5000000003937298, rel=1e-15)
 
+    @pytest.mark.parametrize("nu", [30.0, 40.0, 999.0, 2503.5, 5e3, 9999.0])
+    def test_median_side(self, nu):
+        # Near the median the lower tail is 1/2 - (1/2 - T): it never passes
+        # 1/2, and it is exactly 1/2 where 1/2 - T rounds away.
+        assert t_cdf(-1.11e-160, nu) == 0.5 and t_cdf(1.11e-160, nu) == 0.5
+        for x in [1e-8, 1e-3, 0.1]:
+            assert t_cdf(-x, nu) <= 0.5 <= t_cdf(x, nu), x
+
+    def test_huge_nu_tails(self):
+        # Hill's series at nu far past any float x^2 / nu: tails below the
+        # smallest float are 0, and nu = 1.7e308 is the normal limit.
+        assert t_cdf(-40.0, 1e300) == 0.0
+        assert t_cdf(-1e3, 4.5e307) == 0.0
+        assert t_cdf(-37.0, 1.7e308) == pytest.approx(normal_cdf(-37.0), rel=1e-13, abs=0.0)
+
     def test_matches_scipy_sweep(self):
         scipy_stats = pytest.importorskip("scipy.stats")
         worst = 0.0
@@ -239,9 +254,9 @@ def assert_non_increasing(tails):
 
 
 class TestTCdfSwitches:
-    """t_cdf changes method at nu = 1e3 and 1e4, where BGRAT's
-    z = (nu/2 - 1/4) ln(1 + q) reaches 700, and where q underflows to 0.
-    At the first input past each switch the method there agrees with
+    """t_cdf changes method at nu = 30 and 1e4, where ln(1 + q) reaches 2,
+    and where BGRAT's z = (nu/2 - 1/4) ln(1 + q) reaches _BGRAT_Z_MIN and
+    700.  At the first input past each switch the method there agrees with
     BGRAT, and lower tails fall across it as |x| or nu grows."""
 
     @pytest.fixture
@@ -269,13 +284,13 @@ class TestTCdfSwitches:
         return run
 
     @pytest.mark.parametrize("nu, below, above, rel, xs", [
-        (1e3, "_betacf", "_bgrat_half", 1e-13,
-         [-55.0, -50.0, -37.0, -20.0, -6.0, -2.0, -0.5, -1e-3, -1e-8]),
+        # At nu = 30, BGRAT serves 0.64 <= |x| <= 13.8 (0.2 <= z, ln(1 + q) <= 2).
+        (30.0, "_betacf", "_bgrat_half", 1e-13, [-13.0, -10.0, -6.0, -2.0, -1.0]),
         # Hill's series is itself off by up to 8.2e-13 at x = -38.7 (against
         # 40-digit mpmath, where BGRAT is off by 4e-14); T_TAIL_TABLE holds
         # it to 1e-12.
         (1e4, "_bgrat_half", "hill", 1e-12,
-         [-38.7, -37.0, -30.0, -20.0, -6.0, -2.0, -0.5, -1e-3, -1e-8]),
+         [-38.7, -37.0, -30.0, -20.0, -6.0, -2.0, -0.7]),
     ])
     def test_nu_switch(self, method, nu, below, above, rel, xs):
         nu_below = math.nextafter(nu, 0.0)
@@ -299,15 +314,42 @@ class TestTCdfSwitches:
         assert t_cdf(-x, nu) == pytest.approx(bgrat(-x, nu), rel=2e-13, abs=0.0)
         assert_non_increasing([t_cdf(-x * (1.0 + k * 1e-12), nu) for k in range(-3, 4)])
 
-    @pytest.mark.parametrize("nu", [1e3, 5e3, 9999.0])
-    def test_underflow_switch(self, method, nu):
-        # Where q underflows, z is 0 and the continued fraction takes over.
-        x = first_float(lambda x: x * (x / nu) > 0.0, 1e-170, 1e-150)
+    @pytest.mark.parametrize("nu", [30.0, 100.0, 700.0])
+    def test_log_switch(self, method, nu):
+        # Past ln(1 + q) = 2 (x = 13.8 at nu = 30, 67.1 at nu = 700) the
+        # continued fraction takes over in a few steps.
+        x = first_float(lambda x: math.log1p(x * (x / nu)) > 2.0, 1.0, 100.0)
+        assert method(-math.nextafter(x, 0.0), nu)[0] == "_bgrat_half"
+        assert method(-x, nu)[0] == "_betacf"
+        assert t_cdf(-x, nu) == pytest.approx(bgrat(-x, nu), rel=1e-13, abs=0.0)
+        assert_non_increasing([t_cdf(-x * (1.0 + k * 1e-12), nu) for k in range(-3, 4)])
+
+    @pytest.mark.parametrize("nu", [30.0, 1e3, 5e3, 9999.0])
+    def test_median_switch(self, method, nu):
+        # Below z = _BGRAT_Z_MIN (|x| below about 0.64) the fraction's z-form
+        # takes over, and forms 1/2 - T itself.
+        crossed = lambda x: (0.5 * nu - 0.25) * math.log1p(x * (x / nu)) >= special._BGRAT_Z_MIN
+        x = first_float(crossed, 0.1, 1.0)
         x_below = math.nextafter(x, 0.0)
         assert method(-x_below, nu)[0] == "_betacf" and method(-x, nu)[0] == "_bgrat_half"
+        assert t_cdf(-x_below, nu) == pytest.approx(bgrat(-x_below, nu), rel=1e-13, abs=0.0)
         assert t_cdf(-x, nu) == pytest.approx(t_cdf(-x_below, nu), rel=1e-13, abs=0.0)
         assert t_cdf(x, nu) == pytest.approx(t_cdf(x_below, nu), rel=1e-13, abs=0.0)
         assert_non_increasing([t_cdf(-x * (1.0 + k * 1e-3), nu) for k in range(-3, 4)])
+
+    @pytest.mark.parametrize("nu", [30.0, math.nextafter(30.0, math.inf)])
+    @pytest.mark.parametrize("ln_1q", [1.0, 1.5, 2.0])
+    def test_bgrat_terms(self, method, monkeypatch, nu, ln_1q):
+        # The series stops silently when it runs out of d_n.  Its slowest
+        # corner, nu = 30 with ln(1 + q) up to 2, needs 16 of the 30: cut to
+        # 20, it must give the same bits.
+        x = math.sqrt(math.expm1(ln_1q) * nu)
+        while math.log1p(x * (x / nu)) > ln_1q:
+            x = math.nextafter(x, 0.0)
+        kind, full = method(-x, nu)
+        assert kind == "_bgrat_half"
+        monkeypatch.setattr(special, "_BGRAT_D", special._BGRAT_D[:20])
+        assert t_cdf(-x, nu) == full
 
 
 class TestTQuantile:
