@@ -6,18 +6,17 @@ and z = q / (1 + q),
 
     T_nu(-|x|) = I_w(nu/2, 1/2) / 2 = 1/2 - I_z(1/2, nu/2) / 2,
 
-where I is the regularized incomplete beta function.  Three methods
-split the range of nu and x.  From nu = 30 to 1e4, DiDonato & Morris's
-(1992, ACM TOMS Algorithm 708) BGRAT series for I_w(nu/2, 1/2), an
-expansion about erfc of the square root of u = (nu/2 - 1/4) ln(1 + q)
-(BGRAT's z in the code), wherever ln(1 + q) <= 2 and 0.2 <= u < 700.
-A continued fraction in w or in z, whichever converges fast, takes the
-rest below nu = 1e4: below nu = 30, where the series loses accuracy;
-past ln(1 + q) = 2, where the fraction takes only a few steps; below
-u = 0.2, near the median, where the fraction's z-form gives 1/2 - T
-itself and is the more accurate of the two; and past u = 700, tails
-below about 1e-306.  From nu = 1e4 on, Hill's (1970, CACM Algorithm
-395) series maps the t onto a normal deviate.
+where I is the regularized incomplete beta function.  Two methods split
+the range of nu and x.  From nu = 30 on, DiDonato & Morris's (1992, ACM
+TOMS Algorithm 708) BGRAT series for I_w(nu/2, 1/2), an expansion about
+erfc of the square root of u = (nu/2 - 1/4) ln(1 + q) (BGRAT's z in the
+code), wherever ln(1 + q) <= 2 and u >= 0.2.  A continued fraction in w
+or in z, whichever converges fast, takes the rest: below nu = 30, where
+the series loses accuracy; past ln(1 + q) = 2, where the fraction takes
+only a few steps; and below u = 0.2, near the median, where the
+fraction's z-form gives 1/2 - T itself and is the more accurate of the
+two.  Past nu = 2^74 (1.9e22) both take nu = 2^74: the tail moves by less
+than 3e-17 of itself, and the fraction's products stay finite.
 
 Quantiles invert the same lower tail with Newton steps from Hill's
 (1970, CACM Algorithm 396) start value, safeguarded by bisection; below
@@ -121,22 +120,27 @@ def _bgrat_d() -> tuple[float, ...]:
 
 
 _BGRAT_D = _bgrat_d()
-# BGRAT's z range.  BGRAT gives T, so near the median 1/2 - T carries T's
-# error and the lower tail can pass 1/2; below _BGRAT_Z_MIN the fraction's
-# z-form, which gives 1/2 - T itself, is the more accurate for both.  Below
-# _BGRAT_Z_MAX, e^-z, and with it the tail, is a normal float.
+# BGRAT gives T, so near the median 1/2 - T carries T's error and the lower
+# tail can pass 1/2; below _BGRAT_Z_MIN the fraction's z-form, which gives
+# 1/2 - T itself, is the more accurate for both.
 _BGRAT_Z_MIN = 0.2
-_BGRAT_Z_MAX = 700.0
+# nu is clamped to C = 2^74.  For nu > C, T_nu and T_C differ by at most
+# (x^2 + 1)^2 / (4 C) of the tail to first order, 2.9e-17 over |x| <= 38.6,
+# where the tail is a nonzero float; x / C is exact.  Far above C the
+# fraction's products overflow, and its step cap, 10 sqrt(a), reaches 1e154.
+_NU_MAX = 2.0**74
 
 
 def _bgrat_half(a: float, z: float, ln_1q: float) -> float:
-    # I_w(a, 1/2) / 2 for w = 1 / (1 + q), a >= 15, ln(1 + q) <= 2 and
-    # 0 < z < _BGRAT_Z_MAX, z = (a - 1/4) ln(1 + q): DiDonato & Morris (1992,
-    # ACM TOMS Algorithm 708) BGRAT, Temme's series about the incomplete gamma
+    # I_w(a, 1/2) / 2 for w = 1 / (1 + q), a >= 15, ln(1 + q) <= 2 and z > 0,
+    # z = (a - 1/4) ln(1 + q): DiDonato & Morris (1992, ACM TOMS Algorithm
+    # 708) BGRAT, Temme's series about the incomplete gamma
     # Q(1/2, z) = erfc(sqrt z), with its terms J_n scaled by r = e^-z sqrt(z / pi).
     nu = a - 0.25
     y = math.sqrt(z)
     r = math.exp(-z) * math.sqrt(z / math.pi)
+    if r == 0.0:
+        return 0.0  # past z = 745 the tail is below the smallest float
     # erfc(y) moves by 2z times y's rounding error: add back z - y^2, from
     # Dekker's exact square of y.
     c = 134217729.0 * y
@@ -162,26 +166,20 @@ def _t_tail(x: float, nu: float) -> float:
     # T_nu(-|x|) for finite x != 0, through the logs of w and z (see the
     # module docstring): x^2 and 1 - w are never formed.
     x = abs(x)
+    nu = min(nu, _NU_MAX)
     q = x * (x / nu)
     ln_q = 2.0 * math.log(x) - math.log(nu)  # finite where q over- or underflows
     ln_1q = math.log1p(q) if q < math.inf else ln_q
-    if nu >= 1e4:
-        # Hill (1970), CACM Algorithm 395: a normal deviate y (from a x^2 / nu
-        # where q underflows).  Past y = 1e4 the tail is 0; the series overflows.
-        a = nu - 0.5
-        b = 48.0 * a * a
-        y = min(a * ln_1q, 1e4) if q >= sys.float_info.min else x * x * (a / nu)
-        y = (((((-0.4 * y - 3.3) * y - 24.0) * y - 85.5) / (0.8 * y * y + 100.0 + b)
-              + y + 3.0) / b + 1.0) * math.sqrt(y)
-        return 0.5 * math.erfc(y / math.sqrt(2.0))
     a = 0.5 * nu
     z = (a - 0.25) * ln_1q  # BGRAT's variable, not the z of I_z
-    if nu >= 30.0 and ln_1q <= 2.0 and _BGRAT_Z_MIN <= z < _BGRAT_Z_MAX:
+    if nu >= 30.0 and ln_1q <= 2.0 and z >= _BGRAT_Z_MIN:
         return _bgrat_half(a, z, ln_1q)
     front = math.exp(0.5 * (ln_q - ln_1q) - a * ln_1q - _log_beta_half(a))
     w = 1.0 / (1.0 + q)
     if w < (a + 1.0) / (a + 2.5):
-        return 0.5 * front * _betacf(a, 0.5, w) / a
+        # Where front underflows the tail is 0: skip the fraction, which at
+        # huge a can stall one rounding short of converging.
+        return 0.5 * front * _betacf(a, 0.5, w) / a if front else 0.0
     return 0.5 - front * _betacf(0.5, a, q / (1.0 + q))
 
 

@@ -1,7 +1,9 @@
 """Special-function checks against closed forms and frozen reference values."""
 
+import decimal
 import math
 import struct
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -48,7 +50,7 @@ T_PPF_GRID = {
 }
 
 # (x, nu) -> scipy.special.stdtr(nu, x): t tails down to 1e-300 for nu from
-# 1e-3 to 1e15, either side of the nu = 1e4 switch to Hill's series, frozen.
+# 1e-3 to 1e15, frozen.
 T_TAIL_TABLE = [
     (-2.0, 0.001, 0.49758593474085805), (-1e+100, 0.001, 0.39552064090377886),
     (-10.0, 0.1, 0.3315282881374891), (-1e+100, 0.1, 4.1738031371732114e-11),
@@ -175,7 +177,9 @@ class TestTCdf:
         # scipy.special.stdtr(19, 1e-9), frozen: no rounding to exactly 1/2
         assert t_cdf(1e-9, 19.0) == pytest.approx(0.5000000003937298, rel=1e-15)
 
-    @pytest.mark.parametrize("nu", [30.0, 40.0, 999.0, 2503.5, 5e3, 9999.0])
+    @pytest.mark.parametrize(
+        "nu", [30.0, 40.0, 999.0, 2503.5, 5e3, 9999.0, 1e4, 1e6, 1e300, 1.7e308]
+    )
     def test_median_side(self, nu):
         # Near the median the lower tail is 1/2 - (1/2 - T): it never passes
         # 1/2, and it is exactly 1/2 where 1/2 - T rounds away.
@@ -184,11 +188,34 @@ class TestTCdf:
             assert t_cdf(-x, nu) <= 0.5 <= t_cdf(x, nu), x
 
     def test_huge_nu_tails(self):
-        # Hill's series at nu far past any float x^2 / nu: tails below the
-        # smallest float are 0, and nu = 1.7e308 is the normal limit.
+        # nu far past any float x^2 / nu, where the continued fraction's
+        # products overflow unless nu is clamped: tails below the smallest
+        # float are 0, and nu = 1.7e308 is the normal limit.
         assert t_cdf(-40.0, 1e300) == 0.0
         assert t_cdf(-1e3, 4.5e307) == 0.0
         assert t_cdf(-37.0, 1.7e308) == pytest.approx(normal_cdf(-37.0), rel=1e-13, abs=0.0)
+        assert t_cdf(-1e200, 1e300) == 0.0
+        assert t_cdf(-1e100, 1e160) == 0.0
+        assert t_cdf(-0.1, 1.1e308) == pytest.approx(normal_cdf(-0.1), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("x, nu", [
+        (-38.7, 1e4), (-37.0, 1e4), (-35.0, 1e4), (-37.0, 29416.0),
+    ])
+    def test_even_nu_closed_form(self, x, nu):
+        # Abramowitz & Stegun 26.7.3 for even nu, with w = nu / (nu + x^2):
+        # T_nu(-|x|) = (1 - sqrt(1 - w) sum_{k < nu/2} (1/2)_k / k! w^k) / 2.
+        # The tails are near 1e-300, so the difference cancels about 300
+        # digits: evaluate it with 420.
+        with decimal.localcontext() as ctx:
+            ctx.prec = 420
+            xd, nud = decimal.Decimal(x), decimal.Decimal(nu)
+            w = nud / (nud + xd * xd)
+            term = total = decimal.Decimal(1)
+            for k in range(int(nu) // 2 - 1):
+                term *= (k + decimal.Decimal("0.5")) / (k + 1) * w
+                total += term
+            exact = float((1 - (1 - w).sqrt() * total) / 2)
+        assert t_cdf(x, nu) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     def test_matches_scipy_sweep(self):
         scipy_stats = pytest.importorskip("scipy.stats")
@@ -254,10 +281,11 @@ def assert_non_increasing(tails):
 
 
 class TestTCdfSwitches:
-    """t_cdf changes method at nu = 30 and 1e4, where ln(1 + q) reaches 2,
-    and where BGRAT's z = (nu/2 - 1/4) ln(1 + q) reaches _BGRAT_Z_MIN and
-    700.  At the first input past each switch the method there agrees with
-    BGRAT, and lower tails fall across it as |x| or nu grows."""
+    """t_cdf changes method at nu = 30, where ln(1 + q) reaches 2, and where
+    BGRAT's z = (nu/2 - 1/4) ln(1 + q) reaches _BGRAT_Z_MIN.  At the first
+    input past each switch the method there agrees with BGRAT, and lower
+    tails fall across it as |x| or nu grows.  Past nu = _NU_MAX, t_cdf takes
+    nu = _NU_MAX, and BGRAT's tail underflows to 0 past z = 745."""
 
     @pytest.fixture
     def method(self, monkeypatch):
@@ -279,18 +307,13 @@ class TestTCdfSwitches:
         def run(x, nu):
             calls.clear()
             value = t_cdf(x, nu)
-            return (calls[0] if calls else "hill"), value
+            return calls[0], value
 
         return run
 
     @pytest.mark.parametrize("nu, below, above, rel, xs", [
         # At nu = 30, BGRAT serves 0.64 <= |x| <= 13.8 (0.2 <= z, ln(1 + q) <= 2).
         (30.0, "_betacf", "_bgrat_half", 1e-13, [-13.0, -10.0, -6.0, -2.0, -1.0]),
-        # Hill's series is itself off by up to 8.2e-13 at x = -38.7 (against
-        # 40-digit mpmath, where BGRAT is off by 4e-14); T_TAIL_TABLE holds
-        # it to 1e-12.
-        (1e4, "_bgrat_half", "hill", 1e-12,
-         [-38.7, -37.0, -30.0, -20.0, -6.0, -2.0, -0.7]),
     ])
     def test_nu_switch(self, method, nu, below, above, rel, xs):
         nu_below = math.nextafter(nu, 0.0)
@@ -301,18 +324,42 @@ class TestTCdfSwitches:
             assert t_cdf(x, at) == pytest.approx(bgrat(x, at), rel=rel, abs=0.0), x
             assert_non_increasing([t_cdf(x, nu * (1.0 + k * 1e-9)) for k in range(-3, 4)])
 
-    @pytest.mark.parametrize("nu", [1e3, 5e3, 9999.0])
-    def test_deep_tail_switch(self, method, nu):
-        # z = 700 at x = 55.3 for nu = 1e3 and x = 40.2 for nu = 5e3.  Both
-        # methods form e^-z from z rounded near 700, so each can be off by
-        # about z times 2^-53 and they differ by up to 1.9e-13 (400 nu in the
-        # band); 1e-13 is below what either method can hold here.
-        crossed = lambda x: (0.5 * nu - 0.25) * math.log1p(x * (x / nu)) >= 700.0
-        x = first_float(crossed, 1.0, 100.0)
-        assert method(-math.nextafter(x, 0.0), nu)[0] == "_bgrat_half"
-        assert method(-x, nu)[0] == "_betacf"
-        assert t_cdf(-x, nu) == pytest.approx(bgrat(-x, nu), rel=2e-13, abs=0.0)
-        assert_non_increasing([t_cdf(-x * (1.0 + k * 1e-12), nu) for k in range(-3, 4)])
+    @pytest.mark.parametrize("x", [-37.0, -20.0, -2.0, -0.7])
+    def test_nu_clamp(self, method, x):
+        # Above _NU_MAX the tail is T at _NU_MAX itself, which is within
+        # 3e-17 of the tail at any larger nu.  Just below, the tails agree to
+        # the method's rounding, not bit for bit: q rounds there (by z times
+        # 2^-53 in e^-z, 1.1e-13 at x = -37), and so does the prefactor
+        # e^-ln B(nu/2, 1/2) (2e-15).  Over these nu the true tail moves by
+        # less than 1e-25 of itself.
+        nu = special._NU_MAX
+        assert method(x, nu)[0] == "_bgrat_half"
+        assert t_cdf(x, 2.0 * nu) == t_cdf(x, 1.7e308) == t_cdf(x, nu)
+        for k in [-3, -2, -1]:
+            below = t_cdf(x, nu * (1.0 + k * 1e-9))
+            assert below == pytest.approx(t_cdf(x, nu), rel=2e-13, abs=0.0), k
+
+    @pytest.mark.parametrize("x, nu", [(-1e12, 1e300), (-3.2e10, 1e18)])
+    def test_underflowed_front(self, monkeypatch, x, nu):
+        # Past ln(1 + q) = 2 at huge nu the fraction's front underflows, and
+        # the tail is 0 without the fraction, which can stall there one
+        # rounding short of converging (16 s at x = -1e12, nu = 1e300).
+        monkeypatch.setattr(special, "_betacf", lambda *args: pytest.fail("fraction ran"))
+        assert t_cdf(x, nu) == 0.0
+
+    @pytest.mark.parametrize("nu", [1e3, 5e3, 9999.0, 1e4, 1e6])
+    def test_deep_tail_underflow(self, method, nu):
+        # BGRAT serves z = 690 to 760, where e^-z, and with it the tail,
+        # leaves the normal range and then underflows to 0.  Below the
+        # normal range e^-z and the tail each round to the grid of
+        # subnormals, 5e-324 apart, so the tail may rise by one step.
+        xs = [math.sqrt(nu * math.expm1((690.0 + 0.01 * k) / (0.5 * nu - 0.25)))
+              for k in range(7001)]
+        assert method(-xs[0], nu)[0] == method(-xs[-1], nu)[0] == "_bgrat_half"
+        tails = [t_cdf(-x, nu) for x in xs]
+        for a, b in zip(tails, tails[1:]):
+            assert b <= a * (1.0 + 1e-15) or (b < sys.float_info.min and b - a <= 5e-324), (a, b)
+        assert tails[-1] == 0.0
 
     @pytest.mark.parametrize("nu", [30.0, 100.0, 700.0])
     def test_log_switch(self, method, nu):
