@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, SolverFailure
-from .point import _check_alpha, _check_n, _check_t1, _qn, _t_alpha
+from .point import _check_alpha, _check_n, _check_t1, _qn, _t_alpha, _t_crit_u
 from .special import t_cdf, t_quantile
 
 if TYPE_CHECKING:
@@ -110,10 +110,6 @@ def _quantiles(criteria: Criteria, nu: float) -> tuple[float, float]:
     if not a + b > 0.0:
         raise DomainError(f"beta={criteria.beta} is too close to alpha at nu={nu}")
     return a, b
-
-
-def _t_crit_u(a: float, u: float) -> float:
-    return a * math.sqrt(1.0 + u)
 
 
 def _rep_terms(a: float, b: float, u: float) -> tuple[float, float, float]:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateSampleError, DomainError
-from .point import _check_n, _check_t1, _qn, _t_alpha
+from .point import _check_n, _check_t1, _qn, _t_alpha, _t_crit_u
 from .special import t_cdf
 
 __all__ = [
@@ -158,12 +158,16 @@ def dist_p_value(t1: float, nu: float, n: int, null: DistributionalNull) -> floa
     Nondecreasing in q for fixed |t1|: the more the mean is allowed to
     wander between experiments, the less surprising any one result is.
     """
-    return t_cdf(-abs(_check_t1(t1)) / math.sqrt(1.0 + _qn(null.q, n)), nu)
+    return _p_u(_check_t1(t1), nu, _qn(null.q, n))
+
+
+def _p_u(t1: float, nu: float, u: float) -> float:
+    return t_cdf(-abs(t1) / math.sqrt(1.0 + u), nu)
 
 
 def dist_t_crit(alpha: float, nu: float, n: int, null: DistributionalNull) -> float:
     """Critical t value under the null: T_nu^{-1}(1 - alpha) sqrt(1 + qN)."""
-    return _t_alpha(alpha, nu) * math.sqrt(1.0 + _qn(null.q, n))
+    return _t_crit_u(_t_alpha(alpha, nu), _qn(null.q, n))
 
 
 def dist_z_crit(alpha: float, nu: float, n: int, null: DistributionalNull) -> float:
@@ -184,10 +188,9 @@ def asymptotic_z_bound(alpha: float, nu: float, null: DistributionalNull) -> flo
     return _t_alpha(alpha, nu) * math.sqrt(null.q)
 
 
-def _shrinkage(q: float, n: int) -> float:
-    # qN / (1 + qN): the posterior's weight on the observed mean.
-    qn = _qn(q, n)
-    return qn / (1.0 + qn)
+def _shrinkage(u: float) -> float:
+    # u / (1 + u), u = qN: the posterior's weight on the observed mean.
+    return u / (1.0 + u)
 
 
 def posterior_update(x_bar_1: float, n: int, null: DistributionalNull) -> PosteriorMean:
@@ -197,9 +200,9 @@ def posterior_update(x_bar_1: float, n: int, null: DistributionalNull) -> Poster
     With q = 0 the null absorbs all evidence (mu_N = 0); as q grows the
     posterior approaches the observed mean.
     """
-    shrinkage = _shrinkage(null.q, n)
+    shrinkage = _shrinkage(_qn(null.q, n))
     return PosteriorMean(
-        mu_n=shrinkage * x_bar_1,
+        mu_n=shrinkage * _check_t1(x_bar_1, "x_bar_1"),
         shrinkage=shrinkage,
         var_n_over_sigma2=shrinkage / n,
     )
@@ -217,24 +220,24 @@ def replication_probability(
     value.  At q = 0 this is alpha regardless of t1: under a point null a
     significant repeat is pure false-positive luck.
     """
-    t_crit = dist_t_crit(alpha, nu, n, null)
-    shrinkage = _shrinkage(null.q, n)
+    a, u = _t_alpha(alpha, nu), _qn(null.q, n)
+    shrinkage = _shrinkage(u)
     # (1 + 2qN) / (1 + qN), without forming 2qN, which may overflow
     spread = math.sqrt(1.0 + shrinkage)
-    return t_cdf((shrinkage * abs(_check_t1(t1)) - t_crit) / spread, nu)
+    return t_cdf((shrinkage * abs(_check_t1(t1)) - _t_crit_u(a, u)) / spread, nu)
 
 
 def dist_test_from_t(
     t1: float, nu: float, n: int, null: DistributionalNull, alpha: float = 0.05
 ) -> DistTestReport:
     """Distributional-null report from a precomputed t statistic."""
-    a = _t_alpha(alpha, nu)
-    t_crit = a * math.sqrt(1.0 + _qn(null.q, n))
+    a, u = _t_alpha(alpha, nu), _qn(null.q, n)
+    t_crit = _t_crit_u(a, u)
     return DistTestReport(
         t_stat=t1,
         nu=float(nu),
         q=null.q,
-        p_value=dist_p_value(t1, nu, n, null),
+        p_value=_p_u(_check_t1(t1), nu, u),
         t_crit=t_crit,
         significant=abs(t1) >= t_crit,
         asymptotic_bound_z=a * math.sqrt(null.q),

@@ -34,7 +34,7 @@ from .distributional import (
     dist_t_crit,
 )
 from .errors import DomainError
-from .point import _check_alpha, _check_n, _check_t1, _qn
+from .point import _check_alpha, _check_n, _check_t1, _qn, _t_alpha, _t_crit_u
 
 __all__ = [
     "SimConfig",
@@ -246,9 +246,9 @@ def simulate_replication(
             f"variant must be one of {REPLICATION_VARIANTS}, got {variant!r}"
         )
     nu = int(degrees_of_freedom(cfg.design, cfg.n))
-    null = DistributionalNull(cfg.q_true)
-    crit = dist_t_crit(alpha, nu, cfg.n, null)
-    shrinkage = _shrinkage(cfg.q_true, cfg.n)
+    u = cfg.q_true * cfg.n  # checked by SimConfig
+    crit = _t_crit_u(_t_alpha(alpha, nu), u)
+    shrinkage = _shrinkage(u)
     post_sd = math.sqrt(shrinkage)
     sign = 1.0 if t1 >= 0.0 else -1.0
 

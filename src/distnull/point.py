@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .special import normal_cdf, t_cdf, t_quantile
+from .special import _check_nu, normal_cdf, t_cdf, t_quantile
 
 __all__ = [
     "PointTestReport",
@@ -59,9 +59,9 @@ def _check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
-def _check_t1(t1: float) -> float:
+def _check_t1(t1: float, name: str = "t1") -> float:
     if not math.isfinite(t1):
-        raise DomainError(f"t1 must be finite, got {t1}")
+        raise DomainError(f"{name} must be finite, got {t1}")
     return t1
 
 
@@ -72,14 +72,20 @@ def _t_alpha(alpha: float, nu: float) -> float:
     return -t_quantile(alpha, nu)
 
 
+def _t_crit_u(a: float, u: float) -> float:
+    # a sqrt(1 + u): the critical t of the distributional null, a = _t_alpha and u = qN.
+    return a * math.sqrt(1.0 + u)
+
+
 def point_p_value(z: float, n: int, nu: float) -> float:
     """Tail probability of the absolute statistic, T_nu(-|z| sqrt(N)).
 
     This is the one-tail probability of |z|, the quantity the
     significance rule |z| >= z_crit corresponds to.
     """
-    _check_n(n)
-    return t_cdf(-abs(z) * math.sqrt(n), nu)
+    root_n = math.sqrt(_check_n(n))
+    _check_nu(nu)  # nu before z, the order t_cdf checks them in
+    return t_cdf(-abs(_check_t1(z, "z")) * root_n, nu)
 
 
 def point_z_crit(alpha: float, n: int, nu: float) -> float:
@@ -90,13 +96,13 @@ def point_z_crit(alpha: float, n: int, nu: float) -> float:
 def point_test(z: float, n: int, nu: float, alpha: float = 0.05) -> PointTestReport:
     """Full point-form report for a standardized effect z."""
     t_crit = _t_alpha(alpha, nu)
-    z_crit = t_crit / math.sqrt(_check_n(n))
-    t_stat = z * math.sqrt(n)
+    root_n = math.sqrt(_check_n(n))
+    t_stat = _check_t1(z, "z") * root_n
     return PointTestReport(
         t_stat=t_stat,
         nu=float(nu),
-        p_value=point_p_value(z, n, nu),
-        z_crit=z_crit,
+        p_value=t_cdf(-abs(t_stat), nu),
+        z_crit=t_crit / root_n,
         t_crit=t_crit,
         significant=abs(t_stat) >= t_crit,
         alpha=float(alpha),

@@ -415,9 +415,7 @@ def summarize(
         Measure grouping; measures must not repeat across groups.  When
         omitted, every measure forms its own group.
     site_filter : callable, optional
-        Predicate on site identifiers; when given, the whole analysis
-        (between-site variances included) is recomputed on the
-        restricted dataset.
+        When given, summarize ``restrict(dataset, site_filter)`` instead.
 
     Returns
     -------

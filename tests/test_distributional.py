@@ -230,6 +230,17 @@ class TestPosterior:
         post = posterior_update(1.0, n, DistributionalNull(q))
         assert 0.0 <= post.shrinkage < 1.0
 
+    @pytest.mark.parametrize("x_bar_1", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("q", [0.0, 0.1])
+    def test_non_finite_mean_rejected(self, x_bar_1, q):
+        with pytest.raises(DomainError, match=rf"^x_bar_1 must be finite, got {x_bar_1}$"):
+            posterior_update(x_bar_1, 20, DistributionalNull(q))
+        # after the checks of n and of q * n
+        with pytest.raises(DomainError, match="^sample size"):
+            posterior_update(x_bar_1, 1, DistributionalNull(q))
+        with pytest.raises(DomainError, match=r"q \* n must be finite"):
+            posterior_update(x_bar_1, 2**1022, DistributionalNull(q + 1e20))
+
 
 class TestReplicationProbability:
     def test_point_null_gives_alpha(self):

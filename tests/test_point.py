@@ -186,3 +186,16 @@ def test_every_t1_taker_rejects_a_non_finite_t1(call, t1):
     # one rule, one message: naming t1, not the t_cdf argument it would become
     with pytest.raises(DomainError, match=r"^t1 must be finite, got (-?inf|nan)$"):
         call(t1)
+
+
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("call", [point_p_value, point_test], ids=["point_p_value", "point_test"])
+def test_every_z_taker_rejects_a_non_finite_z(call, z):
+    # named z, with z's own sign, not -|z| sqrt(N) as the t_cdf argument
+    with pytest.raises(DomainError, match=rf"^z must be finite, got {z}$"):
+        call(z, 20, 19)
+    # n and nu are still checked before z
+    with pytest.raises(DomainError, match="^sample size"):
+        call(z, 1, 19)
+    with pytest.raises(DomainError, match="^degrees of freedom"):
+        call(z, 20, -1.0)
