@@ -112,19 +112,19 @@ def _quantiles(criteria: Criteria, nu: float) -> tuple[float, float]:
     return a, b
 
 
-def _rep_terms(a: float, b: float, u: float) -> tuple[float, float, float]:
+def _rep_terms(a: float, b: float, u: float, sqrt=math.sqrt) -> tuple[float, float, float]:
     # t_rep = (1 + 1/u)(a sqrt(1 + u) + b sqrt((1 + 2u)/(1 + u))) = sqrt(1 + u) m / w, where
     # w = u/(1 + u), s = sqrt(1 + 2u)/(1 + u) and m = a + b s = a w t_rep/t_crit > 0 never
     # overflow; for b < 0, m = a + b - b w^2/(1 + s), as a + b s would cancel where b ~ -a.
     w = u / (1.0 + u)
-    s = math.sqrt((1.0 + w) / (1.0 + u))
+    s = sqrt((1.0 + w) / (1.0 + u))
     m = a + b * s if b >= 0.0 else a + b - b * w * w / (1.0 + s)
     return w, s, m
 
 
-def _t_rep_u(a: float, b: float, u: float) -> float:
-    w, _, m = _rep_terms(a, b, u)
-    return math.sqrt(1.0 + u) * (m / w)
+def _t_rep_u(a: float, b: float, u: float, sqrt=math.sqrt) -> float:
+    w, _, m = _rep_terms(a, b, u, sqrt)
+    return sqrt(1.0 + u) * (m / w)
 
 
 def _r_u(a: float, b: float, u: float) -> float:
@@ -158,13 +158,16 @@ def r_crit(criteria: Criteria, nu: float, n: int, q: float) -> JointCriterionRes
 
 
 def r_curve(criteria: Criteria, nu: float, n: int, q: np.ndarray) -> np.ndarray:
-    """``r_crit(...).r_q`` at each q of an array, with the same checks and messages."""
+    """``r_crit(...).r_q`` at each q of an array, bit for bit, with the same checks and messages."""
     import numpy as np
 
     q = np.asarray(q, dtype=float)
     a, b = _quantiles(criteria, nu)
-    _check_n(n)  # an empty q still checks n
-    return np.array([_r_u(a, b, _qn(_check_q_positive(x), n)) for x in q.flat]).reshape(q.shape)
+    with np.errstate(over="ignore"):  # a qN past the float range fails the check below
+        u = q * float(_check_n(n))
+    if not (ok := (q > 0.0) & (u < math.inf)).all():  # the first bad q raises as in r_crit
+        _qn(_check_q_positive(q[~ok][0]), n)
+    return np.asarray(np.maximum(_t_rep_u(a, b, u, np.sqrt), _t_crit_u(a, u, np.sqrt)), order="C")
 
 
 def rule_of_thumb(alpha: float, nu: float) -> RuleOfThumb:

@@ -86,7 +86,7 @@ class ExperimentSummary:
     ) -> ExperimentSummary:
         """Equal-N two-sample summary, pooling the sds as hypot(sd, sd2) / sqrt(2)."""
         if not (sd > 0.0 and sd2 > 0.0):
-            raise DomainError(f"--sd and --sd2 must be positive, got {sd}, {sd2}")
+            raise DomainError(f"sd and sd2 must be positive, got {sd}, {sd2}")
         pooled = math.hypot(sd, sd2) / math.sqrt(2.0)
         return cls(ExperimentDesign.TWO_SAMPLE_EQUAL_N, n, mean - mean2, pooled)
 

@@ -71,9 +71,9 @@ class SimConfig:
         if not (self.q_true >= 0.0 and math.isfinite(self.q_true)):
             raise DomainError(f"q_true must be >= 0 and finite, got {self.q_true}")
         _qn(self.q_true, self.n, "q_true")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 1:
             raise DomainError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 

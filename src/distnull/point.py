@@ -72,9 +72,15 @@ def _t_alpha(alpha: float, nu: float) -> float:
     return -t_quantile(alpha, nu)
 
 
-def _t_crit_u(a: float, u: float) -> float:
+def _t_crit_u(a: float, u: float, sqrt=math.sqrt) -> float:
     # a sqrt(1 + u): the critical t of the distributional null, a = _t_alpha and u = qN.
-    return a * math.sqrt(1.0 + u)
+    return a * sqrt(1.0 + u)
+
+
+def _t_stat(z: float, n: int) -> float:
+    if math.isinf(t := _check_t1(z, "z") * math.sqrt(n)):  # n checked; a finite z can overflow t
+        raise DomainError(f"t = z * sqrt(n) overflows at z={z}, n={n}")
+    return t
 
 
 def point_p_value(z: float, n: int, nu: float) -> float:
@@ -83,9 +89,9 @@ def point_p_value(z: float, n: int, nu: float) -> float:
     This is the one-tail probability of |z|, the quantity the
     significance rule |z| >= z_crit corresponds to.
     """
-    root_n = math.sqrt(_check_n(n))
+    _check_n(n)
     _check_nu(nu)  # nu before z, the order t_cdf checks them in
-    return t_cdf(-abs(_check_t1(z, "z")) * root_n, nu)
+    return t_cdf(-abs(_t_stat(z, n)), nu)
 
 
 def point_z_crit(alpha: float, n: int, nu: float) -> float:
@@ -96,13 +102,12 @@ def point_z_crit(alpha: float, n: int, nu: float) -> float:
 def point_test(z: float, n: int, nu: float, alpha: float = 0.05) -> PointTestReport:
     """Full point-form report for a standardized effect z."""
     t_crit = _t_alpha(alpha, nu)
-    root_n = math.sqrt(_check_n(n))
-    t_stat = _check_t1(z, "z") * root_n
+    t_stat = _t_stat(z, _check_n(n))
     return PointTestReport(
         t_stat=t_stat,
         nu=float(nu),
         p_value=t_cdf(-abs(t_stat), nu),
-        z_crit=t_crit / root_n,
+        z_crit=t_crit / math.sqrt(n),
         t_crit=t_crit,
         significant=abs(t_stat) >= t_crit,
         alpha=float(alpha),

@@ -197,10 +197,36 @@ class TestRCrit:
             call(C_HALF, 19.0, 2**1022, 1e20)
 
     def test_curve_rejects_bad_q(self):
-        with pytest.raises(DomainError):
-            r_curve(C_HALF, 19, 20, np.array([0.1, 0.0]))
-        with pytest.raises(DomainError):
-            r_curve(C_HALF, 19, 20, np.array([0.1, math.inf]))
+        # r_crit's message for the first bad q, whatever comes after it
+        for bad in (0.0, -0.0, -1.0, math.nan, math.inf, 1e308):
+            with pytest.raises(DomainError) as pointwise:
+                r_crit(C_HALF, 19, 20, bad)
+            for later in (-2.0, 1e307):
+                with pytest.raises(DomainError) as curve:
+                    r_curve(C_HALF, 19, 20, np.array([[0.1, bad], [later, 0.2]]))
+                assert str(curve.value) == str(pointwise.value)
+        # an empty q still checks n
+        with pytest.raises(DomainError, match="^sample size"):
+            r_curve(C_HALF, 19, 1, np.array([]))
+
+    def test_curve_keeps_the_type_and_shape_of_q(self):
+        for q in (np.array(0.1), np.array([]), np.empty((2, 0)), np.full((4, 3), 0.1).T):
+            curve = r_curve(C_LOW, 19, 20, q)
+            assert type(curve) is np.ndarray and curve.flags.c_contiguous
+            assert (curve.shape, curve.dtype) == (q.shape, np.float64)
+            assert (curve == r_crit(C_LOW, 19, 20, 0.1).r_q).all()
+
+    def test_curve_is_r_crit_bit_for_bit(self):
+        # both branches of t_rep (beta either side of 1/2), nu from 0.5 to 1e8, u up to 1.7e308
+        rng = np.random.default_rng(29)
+        for i in range(40):
+            alpha = math.exp(rng.uniform(math.log(1e-6), math.log(0.45)))
+            beta = rng.uniform(alpha, 0.5) if i % 2 else rng.uniform(0.5, 0.999)
+            nu, n = math.exp(rng.uniform(math.log(0.5), math.log(1e8))), int(rng.integers(2, 2**60))
+            criteria = Criteria(alpha=alpha, beta=beta)
+            q = np.exp(rng.uniform(math.log(1e-12), math.log(1.7e308), 25)) / n
+            for qi, ri in zip(q, r_curve(criteria, nu, n, q)):
+                assert ri == r_crit(criteria, nu, n, float(qi)).r_q
 
 
 class TestRuleOfThumb:

@@ -58,7 +58,7 @@ class TestTStatistic:
         assert huge.mean == pytest.approx(1e308, rel=1e-15)
         assert huge.sd == pytest.approx(1e308, rel=1e-15)
         for sd, sd2 in ((-1.0, 1.7e308), (1.0, 0.0), (math.nan, 1.0)):
-            with pytest.raises(DomainError, match="must be positive"):
+            with pytest.raises(DomainError, match="^sd and sd2 must be positive"):
                 ExperimentSummary.two_sample(20, 2.0, sd, 0.0, sd2)
 
     def test_standard_error_below_the_float_range(self):

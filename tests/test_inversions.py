@@ -84,6 +84,7 @@ N_TAKERS = {
     ),
     "posterior_update": lambda: distributional.posterior_update(1.5, N, NULL),
     "r_crit": lambda: criterion.r_crit(CRITERIA, NU, N, 0.1),
+    "r_curve": lambda: criterion.r_curve(CRITERIA, NU, N, [0.1] * 1000),  # once, not per q
     "minimize_r": lambda: criterion.minimize_r(CRITERIA, NU, N),
     "q_interval": lambda: criterion.q_interval(8.0, CRITERIA, NU, N),
 }

@@ -53,6 +53,14 @@ def test_config_validation():
         SimConfig(ExperimentDesign.ONE_SAMPLE, 20, 0.05, seed=-1)
 
 
+@pytest.mark.parametrize("field", ["trials", "seed"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_config_rejects_a_bool_count(field, flag):
+    # a bool is an int to isinstance, as it is for point._check_n's n
+    with pytest.raises(DomainError, match=f"^{field} must be a .* integer, got {flag}$"):
+        SimConfig(ExperimentDesign.ONE_SAMPLE, 20, 0.1, **{field: flag})
+
+
 def test_deterministic_given_seed():
     a = simulate_fpr(cfg(seed=11), 0.05, 0.05)
     b = simulate_fpr(cfg(seed=11), 0.05, 0.05)

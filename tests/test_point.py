@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -199,3 +200,18 @@ def test_every_z_taker_rejects_a_non_finite_z(call, z):
         call(z, 1, 19)
     with pytest.raises(DomainError, match="^degrees of freedom"):
         call(z, 20, -1.0)
+
+
+@pytest.mark.parametrize("call", [point_p_value, point_test], ids=["point_p_value", "point_test"])
+def test_every_z_taker_rejects_a_t_that_overflows(call):
+    # a finite z whose t = z sqrt(N) overflows: named so, not as t_cdf's non-finite x
+    for z in (1e308, -1e308):
+        message = re.escape(f"t = z * sqrt(n) overflows at z={z}, n=20")
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            call(z, 20, 19)
+        # n and nu are still checked before z
+        with pytest.raises(DomainError, match="^sample size"):
+            call(z, 1, 19)
+        with pytest.raises(DomainError, match="^degrees of freedom"):
+            call(z, 20, -1.0)
+    assert call(1e153, 20, 19) is not None  # t = 4.5e153 is still finite
