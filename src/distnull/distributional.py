@@ -131,6 +131,8 @@ class DistTestReport:
 def degrees_of_freedom(design: ExperimentDesign, n: int) -> float:
     """nu for a design with per-group sample size n."""
     _check_n(n)
+    if not isinstance(design, ExperimentDesign):
+        raise DomainError(f"design must be an ExperimentDesign, got {design!r}")
     if design is ExperimentDesign.TWO_SAMPLE_EQUAL_N:
         return float(2 * n - 2)
     return float(n - 1)

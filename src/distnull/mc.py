@@ -214,7 +214,7 @@ def fpr_vs_n(
         raise DomainError("n_list must be non-empty")
     out = []
     for n in n_list:
-        child = np.random.SeedSequence(entropy=[cfg_base.seed, n])
+        child = np.random.SeedSequence(entropy=[cfg_base.seed, _check_n(n)])
         derived_seed = int(child.generate_state(1, np.uint64)[0])
         cfg = replace(cfg_base, n=n, seed=derived_seed)
         out.append((n, simulate_fpr(cfg, alpha, q_test, two_sided)))

@@ -18,11 +18,11 @@ fraction's z-form gives 1/2 - T itself and is the more accurate of the
 two.  Past nu = 2^74 (1.9e22) both take nu = 2^74: the tail moves by less
 than 3e-17 of itself, and the fraction's products stay finite.
 
-Quantiles invert the same lower tail with Newton steps from Hill's
-(1970, CACM Algorithm 396) start value, safeguarded by bisection; below
-nu = 1, where Hill's expansion does not hold, the t's power-law tail
-gives the start instead.  Plain floats throughout; no external
-dependencies.
+Quantiles invert the same lower tail by Newton in ln x on ln T, which is
+concave, so the steps need no bracket.  They start from Hill's (1970,
+CACM Algorithm 396) value; below nu = 1, where Hill's expansion does not
+hold, the t's power-law tail gives the start instead.  Plain floats
+throughout; no external dependencies.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ _X_SQ_MAX = math.sqrt(sys.float_info.max)
 def _normal_upper_quantile(tail: float) -> float:
     # The z with 1 - Phi(z) = tail, for 0 < tail <= 1/2: Abramowitz &
     # Stegun 26.2.23 (error below 4.5e-4), then two Newton steps on
-    # erfc, which cost far less than the t_cdf calls they save.
+    # erfc, which cost far less than the t tail evaluations they save.
     t = math.sqrt(-2.0 * math.log(tail))
     z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
         1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
@@ -261,57 +261,47 @@ def t_quantile(p: float, nu: float) -> float:
         return 0.0
     tail = min(p, 1.0 - p)
     ln_tail = math.log(tail)
+    ln_nu = math.log(nu)
     ln_beta = _log_beta_half(0.5 * nu)
     # The t density is exp(ln_f0 - (nu + 1)/2 ln(1 + x^2/nu)).
-    ln_f0 = -ln_beta - 0.5 * math.log(nu)
+    ln_f0 = -ln_beta - 0.5 * ln_nu
     if nu >= 1.0:
         x = _hill_start(tail, nu)
     else:
         # Hill's expansion needs nu >= 1.  Below it, start from the power
         # law T_nu(-x) ~ nu^(nu/2 - 1) x^-nu / B(nu/2, 1/2), which lies
         # above the tail for every x > 0, so x0 is above the root.
-        ln_x = ((0.5 * nu - 1.0) * math.log(nu) - ln_beta - ln_tail) / nu
+        ln_x = ((0.5 * nu - 1.0) * ln_nu - ln_beta - ln_tail) / nu
         x = math.exp(ln_x) if ln_x < math.log(_X_SQ_MAX) else math.inf
     if not x < _X_SQ_MAX:
         raise DomainError(f"quantile beyond the float range at nu={nu}, p={p}")
-    # Newton on f(x) = tail - T_nu(-x), which rises and is concave on
-    # x > 0, with a bisection safeguard: steps from below stop short of
-    # the root; the first step from above overshoots and closes the
-    # bracket.  f and f' are scaled by 1 / tail, so the step stays finite
-    # where the density itself underflows.
-    lo, hi = 0.0, math.inf
-    prev_f = math.inf
-    for _ in range(128):
-        f = tail - t_cdf(-x, nu)
-        dens = math.exp(ln_f0 - 0.5 * (nu + 1.0) * math.log1p(x * (x / nu)) - ln_tail)
-        step = f / tail / dens if dens > 0.0 else 0.0
-        # Converged, or the Newton step is below x's rounding: finish with
-        # that step, kept inside the bracket.
-        if abs(f) <= 1e-12 * tail or (step and x - step == x):
-            x = min(max(x - step, lo), hi)
+    # Newton in v = ln x on g(v) = ln(T_nu(-x) / tail).  g falls, and is
+    # concave because the elasticity x f(x) / T_nu(-x) rises with x, so the
+    # first step lands at or above the root and every later step falls to
+    # it.  A step of at most 1e-8 leaves an error near its square; the stop
+    # on |g| holds where T's own error over a tiny elasticity (nu near 0,
+    # near the median) keeps the step above that.  A step after the first
+    # that does not fall is T's rounding, which only the subnormal grid
+    # makes larger than those stops.
+    for i in range(64):
+        t = _t_tail(x, nu)
+        g = math.log1p((t - tail) / tail)  # t - tail is exact near the root
+        ln_x = math.log(x)
+        q = x * (x / nu)
+        ln_1q = math.log1p(q) if q < math.inf else 2.0 * ln_x - ln_nu
+        # g over the elasticity x f(x) / t, in logs: f(x) underflows in deep tails.
+        step = g * math.exp(math.log(t) - ln_x - ln_f0 + 0.5 * (nu + 1.0) * ln_1q)
+        if abs(g) <= 1e-12 or abs(step) <= 1e-8:
+            return math.copysign(x + x * math.expm1(step), p - 0.5)
+        if i and step >= 0.0:
+            if abs(t - tail) <= 1e-12 * tail + 2e-323:
+                return math.copysign(x, p - 0.5)
             break
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        # Bisect (or double, while hi is open) after a Newton step that
-        # failed to halve |f|, or instead of one that would leave the
-        # bracket.  Only Newton steps are held to halving.
-        halved = abs(f) <= 0.5 * prev_f
-        x_new, prev_f = x - step, abs(f)
-        if not (halved and step and lo < x_new < hi):
-            x_new = 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
-            prev_f = math.inf
-            if not lo < x_new < hi:
-                x = hi  # lo and hi are adjacent floats around the root
-                break
-        x = x_new
-    else:
-        raise SolverFailure(
-            f"t quantile did not converge at p={p}, nu={nu}: "
-            f"bracket [{lo}, {hi}], residual {abs(f):.3g}"
-        )
-    return x if p > 0.5 else -x
+        x += x * math.expm1(step)
+    raise SolverFailure(
+        f"t quantile did not converge at p={p}, nu={nu}: last x {x}, "
+        f"step {step:.3g}, residual ln(T/tail) {g:.3g}"
+    )
 
 
 def normal_cdf(x: float) -> float:

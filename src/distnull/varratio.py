@@ -554,7 +554,9 @@ def write_histogram_csv(q_values: Iterable[float], dest: str | TextIO) -> None:
         writer.writerow(["bin_lo", "bin_hi", "count"])
         if not values:
             return
-        edges = [i * _BIN_WIDTH for i in range(max(1, math.ceil(high / _BIN_WIDTH)) + 1)]
+        n_bins = max(1, math.ceil(high / _BIN_WIDTH))
+        n_bins += n_bins * _BIN_WIDTH < high  # ceil(q / 0.01) * 0.01 can be one ulp short of q
+        edges = [i * _BIN_WIDTH for i in range(n_bins + 1)]
         below = [bisect.bisect_left(values, e) for e in edges[:-1]]
         below.append(bisect.bisect_right(values, edges[-1]))
         for i in range(len(edges) - 1):

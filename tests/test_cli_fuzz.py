@@ -53,7 +53,7 @@ SIZE = st.sampled_from(
 )
 # simulate runs every trial, so its counts stay small
 TRIALS = st.sampled_from(["-1", "0", "1", "7", "100"])
-SIM_N = st.sampled_from(["2", "3", "20", "65", "1000", "2,20", "20,,3", ",", "0", "x",
+SIM_N = st.sampled_from(["2", "3", "20", "65", "1000", "2,20", "20,-5", "20,,3", ",", "0", "x",
                          str(2**1022), str(10**200), str(10**400)])
 DESIGN = st.sampled_from(["one-sample", "paired", "two-sample", "bogus"])
 FORMAT = st.sampled_from(["json", "csv", "human"])

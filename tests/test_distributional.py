@@ -76,6 +76,13 @@ class TestTStatistic:
         assert degrees_of_freedom(ExperimentDesign.PAIRED, 12) == 11.0
         assert degrees_of_freedom(ExperimentDesign.TWO_SAMPLE_EQUAL_N, 12) == 22.0
 
+    def test_design_must_be_a_member(self):
+        # A design's value string used to give one-sample nu (19, not 38).
+        with pytest.raises(DomainError, match="ExperimentDesign"):
+            degrees_of_freedom("two_sample_equal_n", 20)
+        with pytest.raises(DomainError, match="ExperimentDesign"):
+            t_statistic(ExperimentSummary("two_sample_equal_n", 20, 1.0, 2.0))
+
     def test_validation(self):
         with pytest.raises(DegenerateSampleError):
             ExperimentSummary(ExperimentDesign.ONE_SAMPLE, 10, 1.0, 0.0)

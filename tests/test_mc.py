@@ -114,6 +114,21 @@ def test_fpr_vs_n_is_order_independent():
         fpr_vs_n(cfg(), 0.05, [], 0.05)
 
 
+def test_fpr_vs_n_checks_each_n_before_seeding():
+    # A negative n used to reach numpy's SeedSequence, which raises ValueError.
+    with pytest.raises(DomainError, match="sample size"):
+        fpr_vs_n(cfg(), 0.05, [20, -5], 0.05)
+
+
+def test_design_must_be_a_member():
+    # A design's value string passed SimConfig and ran as one-sample.
+    bogus = SimConfig("two_sample_equal_n", 20, 0.1, trials=10)
+    with pytest.raises(DomainError, match="ExperimentDesign"):
+        simulate_fpr(bogus, 0.05, 0.1)
+    with pytest.raises(DomainError, match="ExperimentDesign"):
+        simulate_replication(2.0, bogus, 0.05)
+
+
 def test_replication_matches_the_closed_form():
     for t1 in (0.0, 2.0, -2.0):
         report = simulate_replication(t1, cfg(seed=7), 0.05)

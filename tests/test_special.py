@@ -450,13 +450,13 @@ class TestTQuantile:
 
     def test_cdf_calls_per_quantile(self, monkeypatch):
         calls = []
-        cdf = special.t_cdf
+        tail = special._t_tail
 
         def counted(x, nu):
             calls.append(x)
-            return cdf(x, nu)
+            return tail(x, nu)
 
-        monkeypatch.setattr(special, "t_cdf", counted)
+        monkeypatch.setattr(special, "_t_tail", counted)
         cases = [
             (p, nu)
             for nu in [0.05, 0.2, 0.5, 1.5, 3.0, 19.0, 100.0, 1e3, 1e4, 4e4]
@@ -472,11 +472,78 @@ class TestTQuantile:
                 assert nu < 1.0 and p < 1e-16 and not calls, (p, nu)
             assert len(calls) <= 5, (p, nu, len(calls))
 
-    def test_solver_failure_names_bracket_and_residual(self, monkeypatch):
-        # A CDF that never reaches the target runs out the step cap.
-        monkeypatch.setattr(special, "t_cdf", lambda x, nu: 0.5)
-        with pytest.raises(SolverFailure, match=r"bracket \[.*\], residual"):
-            t_quantile(0.95, 19.0)
+    def test_solver_failure_names_last_x_step_and_residual(self, monkeypatch):
+        # Broken tails for p = 0.95: one stuck at 1/2 and one that rises
+        # with x stop on a step that does not fall, with a residual past T's
+        # rounding; one stuck just short of the target runs out the step cap.
+        for broken in [
+            lambda x, nu: 0.5,
+            lambda x, nu: 0.5 * x / (1.0 + x),
+            lambda x, nu: 0.05 * (1.0 - 1e-6),
+        ]:
+            monkeypatch.setattr(special, "_t_tail", broken)
+            named = r"last x \S+, step \S+, residual ln\(T/tail\) \S+"
+            with pytest.raises(SolverFailure, match=named):
+                t_quantile(0.95, 19.0)
+
+    def test_elasticity_rises(self):
+        # The solver rests on this: x f(x) / T_nu(-x) does not fall as x
+        # grows, so ln T_nu(-x) is concave in ln x.  scipy's logpdf and
+        # logsf, wherever both are finite; 1e-12 of the value allows their
+        # rounding where the elasticity flattens to nu (the power-law tail).
+        np = pytest.importorskip("numpy")
+        scipy_stats = pytest.importorskip("scipy.stats")
+        x = np.logspace(-8, 300, 4000)
+        for nu in np.logspace(-3, 8, 15):
+            with np.errstate(all="ignore"):
+                ln_ratio = scipy_stats.t.logpdf(x, nu) - scipy_stats.t.logsf(x, nu)
+            finite = np.isfinite(ln_ratio)
+            elasticity = x[finite] * np.exp(ln_ratio[finite])
+            assert finite.sum() >= 100, nu
+            assert np.all(np.diff(elasticity) >= -1e-12 * elasticity[:-1]), nu
+
+    def test_subnormal_tails(self):
+        # T moves in steps of 5e-324 here, so the root is good to a step or
+        # two.  At the last two nu a step lands one step above 2.5e-322 and
+        # the loop stops on T's rounding.
+        for p, nu in [
+            (5e-324, 3.0),
+            (5e-324, 19.0),
+            (5e-324, 1e4),
+            (5e-324, 1.7e308),
+            (2.5e-322, 774.0161100463954),
+            (2.5e-322, 58546.37363205773),
+        ]:
+            x = t_quantile(p, nu)
+            assert x < 0.0 and abs(t_cdf(x, nu) - p) <= 2e-323, (p, nu, x)
+
+    def test_near_the_median_below_nu_1(self):
+        # scipy.special.stdtrit(nu, p), frozen; each is within 2e-13 of
+        # 40-digit mpmath.  The tail is flat here: T's rounding over an
+        # elasticity near nu leaves x good to about 1e-12.
+        for p, nu, x in [
+            (0.408, 0.00137, -5.337192366697706e62),
+            (0.499, 0.001, -0.11497779848722052),
+            (0.49, 0.01, -0.3719233856143308),
+            (0.45, 0.05, -0.9243843459076488),
+            (0.4999, 0.3, -0.00043607334530702964),
+            (0.3, 0.9, -0.7532776137282439),
+        ]:
+            assert t_quantile(p, nu) == pytest.approx(x, rel=2e-12), (p, nu)
+        # At this root, 1.26e153, x^2 / nu overflows: the density takes
+        # ln(1 + x^2 / nu) as 2 ln x - ln nu.
+        x = t_quantile(0.35, 1e-3)
+        assert 1e153 < -x < special._X_SQ_MAX
+        assert t_cdf(x, 1e-3) == pytest.approx(0.35, rel=1e-14)
+
+    def test_nu1_root_at_the_float_range(self):
+        # At nu = 1 the root is 1 / tan(pi tail), here 1 / (pi tail): found
+        # just inside sqrt(float max), to T's accuracy there, and refused
+        # just outside.
+        inside = 1.0 / (math.pi * special._X_SQ_MAX * (1.0 - 1e-9))
+        assert t_quantile(inside, 1.0) == pytest.approx(-1.0 / (math.pi * inside), rel=1e-13)
+        with pytest.raises(DomainError, match="beyond the float range"):
+            t_quantile(1.0 / (math.pi * special._X_SQ_MAX * (1.0 + 1e-9)), 1.0)
 
     def test_domain_errors(self):
         for bad_p in [0.0, 1.0, -0.2, 1.3, math.nan]:

@@ -566,6 +566,7 @@ class TestWriters:
     @example(qs=[])
     @example(qs=[0.0])
     @example(qs=[0.3, 0.07, 0.07, 1.0])
+    @example(qs=[0.01, 0.030000000000000002])
     def test_histogram_is_numpys_bit_for_bit(self, qs):
         buf = io.StringIO()
         write_histogram_csv(qs, buf)
@@ -574,11 +575,21 @@ class TestWriters:
             assert got == []
             return
         n_bins = max(1, math.ceil(max(qs) / 0.01))
+        n_bins += n_bins * 0.01 < max(qs)  # the top edge must reach max(qs)
         counts, edges = np.histogram(np.array(qs), bins=np.arange(n_bins + 1) * 0.01)
         assert got == [
             [repr(float(edges[i])), repr(float(edges[i + 1])), str(int(count))]
             for i, count in enumerate(counts)
         ]
+
+    def test_histogram_keeps_q_one_ulp_above_an_edge(self):
+        # ceil(q / 0.01) * 0.01 falls below such a q, which was then dropped.
+        for k in range(1, 1001):
+            qs = [0.005, math.nextafter(k * 0.01, math.inf)]
+            buf = io.StringIO()
+            write_histogram_csv(qs, buf)
+            rows = list(csv.reader(io.StringIO(buf.getvalue())))[1:]
+            assert sum(int(row[2]) for row in rows) == len(qs), k
 
     @pytest.mark.parametrize("top", [10_000.01, 2.3e43, math.inf, math.nan])
     def test_histogram_refuses_too_many_bins(self, top):
