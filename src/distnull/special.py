@@ -236,7 +236,8 @@ def _hill_start(tail: float, nu: float) -> float:
         c = (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b + c
         y = (((((0.4 * x * x + 6.3) * x * x + 36.0) * x * x + 94.5) / c
               - x * x - 3.0) / b + 1.0) * x
-        y = math.expm1(a * y * y)
+        # nu expm1(a y^2) is y^2 where a y^2 underflows (nu past 1e300).
+        return math.sqrt(nu * math.expm1(a * y * y)) or abs(y)
     elif y > 0.0:
         # Far tail: series in y = (d * P)^(2 / nu).
         y = ((1.0 / (((nu + 6.0) / (nu * y) - 0.089 * d - 0.822)
@@ -268,21 +269,25 @@ def t_quantile(p: float, nu: float) -> float:
     if nu >= 1.0:
         x = _hill_start(tail, nu)
     else:
-        # Hill's expansion needs nu >= 1.  Below it, start from the power
-        # law T_nu(-x) ~ nu^(nu/2 - 1) x^-nu / B(nu/2, 1/2), which lies
-        # above the tail for every x > 0, so x0 is above the root.
-        ln_x = ((0.5 * nu - 1.0) * ln_nu - ln_beta - ln_tail) / nu
-        x = math.exp(ln_x) if ln_x < math.log(_X_SQ_MAX) else math.inf
+        # Hill's expansion needs nu >= 1.  Below it, where x^2 < nu, start
+        # from the line 1/2 - f(0) x: it lies below T_nu(-x), so x0 is at or
+        # below the root, and on it where T is linear in x.  Elsewhere start
+        # from the power law T_nu(-x) ~ nu^(nu/2 - 1) x^-nu / B(nu/2, 1/2),
+        # which lies above the tail for every x > 0 (near the median it can
+        # be 1e16 times the root, and each step divides x by about e).
+        x = (0.5 - tail) * math.exp(-ln_f0)
+        if x * x >= nu:
+            ln_x = ((0.5 * nu - 1.0) * ln_nu - ln_beta - ln_tail) / nu
+            x = math.exp(ln_x) if ln_x < math.log(_X_SQ_MAX) else math.inf
     if not x < _X_SQ_MAX:
         raise DomainError(f"quantile beyond the float range at nu={nu}, p={p}")
-    # Newton in v = ln x on g(v) = ln(T_nu(-x) / tail).  g falls, and is
-    # concave because the elasticity x f(x) / T_nu(-x) rises with x, so the
-    # first step lands at or above the root and every later step falls to
-    # it.  A step of at most 1e-8 leaves an error near its square; the stop
-    # on |g| holds where T's own error over a tiny elasticity (nu near 0,
-    # near the median) keeps the step above that.  A step after the first
-    # that does not fall is T's rounding, which only the subnormal grid
-    # makes larger than those stops.
+    # Newton in v = ln x on g(v) = ln(T_nu(-x) / tail): g falls and is
+    # concave (x f(x) / T_nu(-x) rises with x), so the first step lands at
+    # or above the root and every later step falls to it.  It stops on
+    # |step| <= 1e-8, or on |g| <= 1e-12, which can hold near the median
+    # (x f / T about 2 f(0) x) while the step is large; the last step, x (1
+    # + step), is exact where T is linear in x.  A later step that does not
+    # fall is T's rounding, only larger than those stops on the subnormal grid.
     for i in range(64):
         t = _t_tail(x, nu)
         g = math.log1p((t - tail) / tail)  # t - tail is exact near the root
@@ -292,7 +297,7 @@ def t_quantile(p: float, nu: float) -> float:
         # g over the elasticity x f(x) / t, in logs: f(x) underflows in deep tails.
         step = g * math.exp(math.log(t) - ln_x - ln_f0 + 0.5 * (nu + 1.0) * ln_1q)
         if abs(g) <= 1e-12 or abs(step) <= 1e-8:
-            return math.copysign(x + x * math.expm1(step), p - 0.5)
+            return math.copysign(x + x * step, p - 0.5)
         if i and step >= 0.0:
             if abs(t - tail) <= 1e-12 * tail + 2e-323:
                 return math.copysign(x, p - 0.5)

@@ -461,6 +461,7 @@ class TestTQuantile:
             (p, nu)
             for nu in [0.05, 0.2, 0.5, 1.5, 3.0, 19.0, 100.0, 1e3, 1e4, 4e4]
             for p in [0.9, 0.95, 0.99, 0.995, 1.0 - 1e-6, 1e-20, 1e-200]
+            + [0.5 - 1e-13, 0.5 + 1e-6]
         ]
         # Once took extra steps when t_cdf lost digits at large nu.
         cases.append((0.9552016331372183, 68587.76053953539))
@@ -535,6 +536,35 @@ class TestTQuantile:
         x = t_quantile(0.35, 1e-3)
         assert 1e153 < -x < special._X_SQ_MAX
         assert t_cdf(x, 1e-3) == pytest.approx(0.35, rel=1e-14)
+
+    def test_within_1e_9_of_the_median(self):
+        # scipy.special.stdtrit(nu, p), and ndtri(p) past nu = 1e300,
+        # frozen.  T is linear in x here and rounds near 1/2 to 2^-53, which
+        # over 1/2 - p leaves x good to 2^-53 / (1/2 - p).  The loop once
+        # stopped on a small residual ln(T / tail) with a last step in ln x
+        # that was not small: from the power-law start below nu = 1, 1e12
+        # times the root, it returned 1.4 to 2.4 times the root at
+        # 1/2 - p = 1e-13, and from Hill's start just above nu = 1, 1% to 12%
+        # off, up to 72 times 2^-53 / (1/2 - p) off.  Past nu = 1e300, a y^2
+        # underflowed in Hill's nu expm1(a y^2), so the start was 0 and ln x
+        # raised ValueError.
+        for nu, p, x in [
+            (0.5, 0.4999999999999, -3.707243949402107e-13),
+            (0.5, 0.499999999999, -3.708067323960553e-12),
+            (0.5, 0.49999999999, -3.708149661416397e-11),
+            (0.05, 0.4999999999999, -9.24825180187877e-13),
+            (0.05, 0.499999999999, -9.250305827820332e-12),
+            (0.05, 0.49999999999, -9.250511230414485e-11),
+            (1.05, 0.499999999999, -3.1125347546982314e-12),
+            (1.15, 0.499999999999, -3.061674315533398e-12),
+            (1.5, 0.49999999999, -2.9348324582297685e-11),
+            (1e301, 0.49999999999999994, -1.3914582123358836e-16),
+            (1e301, 0.4999999993479843, -1.634361037234543e-09),
+            (1.7e308, 0.4999999999999, -2.506016240416926e-13),
+            (1.7e308, 0.4999999993479843, -1.634361037234543e-09),
+        ]:
+            rel = 2.0**-53 / (0.5 - p)
+            assert t_quantile(p, nu) == pytest.approx(x, rel=rel, abs=0.0), (p, nu)
 
     def test_nu1_root_at_the_float_range(self):
         # At nu = 1 the root is 1 / tan(pi tail), here 1 / (pi tail): found
