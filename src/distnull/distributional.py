@@ -72,7 +72,7 @@ class ExperimentSummary:
     sd: float
 
     def __post_init__(self) -> None:
-        _check_n(self.n)
+        degrees_of_freedom(self.design, self.n)
         if not math.isfinite(self.mean):
             raise DomainError(f"mean must be finite, got {self.mean}")
         if not (self.sd > 0.0 and math.isfinite(self.sd)):

@@ -67,7 +67,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_n(self.n)
+        degrees_of_freedom(self.design, self.n)
         if not (self.q_true >= 0.0 and math.isfinite(self.q_true)):
             raise DomainError(f"q_true must be >= 0 and finite, got {self.q_true}")
         _qn(self.q_true, self.n, "q_true")

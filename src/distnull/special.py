@@ -7,16 +7,21 @@ and z = q / (1 + q),
     T_nu(-|x|) = I_w(nu/2, 1/2) / 2 = 1/2 - I_z(1/2, nu/2) / 2,
 
 where I is the regularized incomplete beta function.  Two methods split
-the range of nu and x.  From nu = 30 on, DiDonato & Morris's (1992, ACM
-TOMS Algorithm 708) BGRAT series for I_w(nu/2, 1/2), an expansion about
-erfc of the square root of u = (nu/2 - 1/4) ln(1 + q) (BGRAT's z in the
-code), wherever ln(1 + q) <= 2 and u >= 0.2.  A continued fraction in w
-or in z, whichever converges fast, takes the rest: below nu = 30, where
-the series loses accuracy; past ln(1 + q) = 2, where the fraction takes
-only a few steps; and below u = 0.2, near the median, where the
-fraction's z-form gives 1/2 - T itself and is the more accurate of the
-two.  Past nu = 2^74 (1.9e22) both take nu = 2^74: the tail moves by less
-than 3e-17 of itself, and the fraction's products stay finite.
+the range of x.  Wherever ln(1 + q) <= 2 and u = (nu/2 - 1/4) ln(1 + q)
+>= 0.2 (BGRAT's z in the code), I_w(nu/2, 1/2) is taken as DiDonato &
+Morris's (1992, ACM TOMS Algorithm 708) bratio takes it for b <= 1: their
+BGRAT series, an expansion about erfc(sqrt u), from nu = 30 on; below,
+their BUP first lifts a = nu/2 by n whole steps to a + n >= 15,
+
+    I_w(a, 1/2) = I_w(a + n, 1/2) + (n positive terms),
+
+and BGRAT takes I_w(a + n, 1/2).  That band is empty below nu = 0.7.  A
+continued fraction in w or in z, whichever converges fast, takes the
+rest: past ln(1 + q) = 2, where the fraction takes only a few steps; and
+below u = 0.2, near the median, where the fraction's z-form gives
+1/2 - T itself and is the more accurate of the two.  Past nu = 2^74
+(1.9e22) both take nu = 2^74: the tail moves by less than 3e-17 of
+itself, and the fraction's products stay finite.
 
 Quantiles invert the same lower tail by Newton in ln x on ln T, which is
 concave, so the steps need no bracket.  They start from Hill's (1970,
@@ -91,9 +96,14 @@ def _check_nu(nu: float) -> float:
 
 
 def _log_beta_half(a: float) -> float:
-    # ln B(a, 1/2): lgamma below a = 20 (its pole at 0 is where nu = 5e-324
-    # puts a); from there the Stirling series for ln Gamma(a) / Gamma(a + 1/2)
-    # is good to 3.4e-15, and does not cancel or overflow.
+    # ln B(a, 1/2): below a = 20 from Gamma(a) / Gamma(a + 1/2), good to a few
+    # ulps, where lgamma(a) - lgamma(a + 1/2) keeps an ulp of numbers near 40
+    # (1.6e-14 of B near a = 20); lgamma only where Gamma(a) nears overflow,
+    # its pole at 0 being where nu = 5e-324 puts a.  From a = 20 the Stirling
+    # series for ln Gamma(a) / Gamma(a + 1/2) is good to 3.4e-15, and does not
+    # cancel or overflow.
+    if 1e-300 < a < 20.0:
+        return math.log(math.gamma(a) / math.gamma(a + 0.5) * math.sqrt(math.pi))
     if a < 20.0:
         try:
             return math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
@@ -107,16 +117,17 @@ def _log_beta_half(a: float) -> float:
     ) / a
 
 
-def _bgrat_d() -> tuple[float, ...]:
+def _bgrat_d() -> tuple[tuple[float, float, float], ...]:
     # d_1 .. d_30 of the BGRAT series at b = 1/2, by DiDonato & Morris's
-    # recurrence; the band that uses them needs at most 16 (at nu = 30 and
-    # ln(1 + q) = 2).
+    # recurrence, each with the constants h = 2n + 1/2 and h (h + 1) of the
+    # step to J_(n+1), n = 0 .. 29; the band that uses them needs at most
+    # 16 (at nu = 30 and ln(1 + q) = 2).
     c = [1.0 / math.factorial(2 * n + 1) for n in range(1, 31)]
     d: list[float] = []
     for n in range(1, 31):
         s = sum((0.5 * i - n) * c[i - 1] * d[n - i - 1] for i in range(1, n))
         d.append(-0.5 * c[n - 1] + s / n)
-    return tuple(d)
+    return tuple((d_n, 2 * n + 0.5, (2 * n + 0.5) * (2 * n + 1.5)) for n, d_n in enumerate(d))
 
 
 _BGRAT_D = _bgrat_d()
@@ -129,13 +140,17 @@ _BGRAT_Z_MIN = 0.2
 # where the tail is a nonzero float; x / C is exact.  Far above C the
 # fraction's products overflow, and its step cap, 10 sqrt(a), reaches 1e154.
 _NU_MAX = 2.0**74
+# BGRAT's least a: from nu = 30 on it runs alone, below after BUP's shift.
+_BGRAT_A = 15.0
 
 
-def _bgrat_half(a: float, z: float, ln_1q: float) -> float:
-    # I_w(a, 1/2) / 2 for w = 1 / (1 + q), a >= 15, ln(1 + q) <= 2 and z > 0,
-    # z = (a - 1/4) ln(1 + q): DiDonato & Morris (1992, ACM TOMS Algorithm
-    # 708) BGRAT, Temme's series about the incomplete gamma
-    # Q(1/2, z) = erfc(sqrt z), with its terms J_n scaled by r = e^-z sqrt(z / pi).
+def _bgrat_half(a: float, z: float, ln_1q: float, ln_beta: float, head: float = 0.0) -> float:
+    # head + I_w(a, 1/2) / 2 for w = 1 / (1 + q), a >= 15, ln(1 + q) <= 2 and
+    # z > 0, z = (a - 1/4) ln(1 + q), ln_beta = ln B(a, 1/2): DiDonato & Morris
+    # (1992, ACM TOMS Algorithm 708) BGRAT, Temme's series about the incomplete
+    # gamma Q(1/2, z) = erfc(sqrt z), with its terms J_n scaled by
+    # r = e^-z sqrt(z / pi).  The series stops relative to the whole sum, so
+    # after BUP's head it takes fewer terms.
     nu = a - 0.25
     y = math.sqrt(z)
     r = math.exp(-z) * math.sqrt(z / math.pi)
@@ -150,16 +165,18 @@ def _bgrat_half(a: float, z: float, ln_1q: float) -> float:
     gam_q = math.erfc(y) - r * ((z - yy) - ((hi * hi - yy) + 2.0 * hi * lo + lo * lo)) / z
     v = 0.25 / (nu * nu)
     t2 = 0.25 * ln_1q * ln_1q
-    j = s = gam_q / r
+    scale = 0.5 * math.sqrt(math.pi / nu) * math.exp(-ln_beta) * r
+    j = gam_q / r
+    s = head / scale + j
     t = 1.0
-    for n, d in enumerate(_BGRAT_D):
-        b2n = 2 * n + 0.5
-        j = (b2n * (b2n + 1.0) * j + (z + b2n + 1.0) * t) * v
+    for d, h, hh in _BGRAT_D:
+        j = (hh * j + (z + h + 1.0) * t) * v
         t *= t2
-        s += d * j
-        if abs(d * j) <= 1e-16 * s:
+        dj = d * j
+        s += dj
+        if abs(dj) <= 1e-16 * s:
             break
-    return 0.5 * math.sqrt(math.pi / nu) * math.exp(-_log_beta_half(a)) * r * s
+    return scale * s
 
 
 def _t_tail(x: float, nu: float) -> float:
@@ -172,10 +189,29 @@ def _t_tail(x: float, nu: float) -> float:
     ln_1q = math.log1p(q) if q < math.inf else ln_q
     a = 0.5 * nu
     z = (a - 0.25) * ln_1q  # BGRAT's variable, not the z of I_z
-    if nu >= 30.0 and ln_1q <= 2.0 and z >= _BGRAT_Z_MIN:
-        return _bgrat_half(a, z, ln_1q)
-    front = math.exp(0.5 * (ln_q - ln_1q) - a * ln_1q - _log_beta_half(a))
+    ln_beta = _log_beta_half(a)
+    band = ln_1q <= 2.0 and z >= _BGRAT_Z_MIN
+    if band and a >= _BGRAT_A:
+        return _bgrat_half(a, z, ln_1q, ln_beta)
+    # ln(q / (1 + q)): from 1/q where q >= 1, as ln q - ln(1 + q) cancels
+    # there; below, 1/q can overflow.
+    ln_z = -math.log1p(1.0 / q) if q >= 1.0 else ln_q - ln_1q
+    front = math.exp(0.5 * ln_z - a * ln_1q - ln_beta)
     w = 1.0 / (1.0 + q)
+    if band:
+        # BUP: I_w(a, 1/2) = I_w(b, 1/2) + sum_{i<n} T_i, b = a + n >= _BGRAT_A,
+        # T_0 = front / a, T_(i+1) = T_i w (a + i + 1/2) / (a + i + 1).  Every
+        # term is positive.  T_n = w^b sqrt(1 - w) / (b B(b, 1/2)) gives BGRAT
+        # its ln B(b, 1/2).
+        t = front / a
+        s = 0.0
+        b = a
+        while b < _BGRAT_A:
+            s += t
+            t *= w * (b + 0.5) / (b + 1.0)
+            b += 1.0
+        ln_beta = 0.5 * ln_z - b * ln_1q - math.log(b * t)
+        return _bgrat_half(b, (b - 0.25) * ln_1q, ln_1q, ln_beta, 0.5 * s)
     if w < (a + 1.0) / (a + 2.5):
         # Where front underflows the tail is 0: skip the fraction, which at
         # huge a can stall one rounding short of converging.

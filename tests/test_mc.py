@@ -122,11 +122,8 @@ def test_fpr_vs_n_checks_each_n_before_seeding():
 
 def test_design_must_be_a_member():
     # A design's value string passed SimConfig and ran as one-sample.
-    bogus = SimConfig("two_sample_equal_n", 20, 0.1, trials=10)
     with pytest.raises(DomainError, match="ExperimentDesign"):
-        simulate_fpr(bogus, 0.05, 0.1)
-    with pytest.raises(DomainError, match="ExperimentDesign"):
-        simulate_replication(2.0, bogus, 0.05)
+        SimConfig("two_sample_equal_n", 20, 0.1, trials=10)
 
 
 def test_replication_matches_the_closed_form():

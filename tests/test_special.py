@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import random
 import struct
 import sys
 
@@ -177,6 +178,14 @@ class TestTCdf:
         # scipy.special.stdtr(19, 1e-9), frozen: no rounding to exactly 1/2
         assert t_cdf(1e-9, 19.0) == pytest.approx(0.5000000003937298, rel=1e-15)
 
+    def test_ln_z_near_zero(self):
+        # scipy.special.stdtr(0.001370488950062145, -1.38e73), frozen.  q is
+        # 1.4e149, so ln z = -ln(1 + 1/q) is -7e-150, where ln q - ln(1 + q)
+        # rounds to a multiple of 5.7e-14.
+        assert t_cdf(-1.38e73, 0.001370488950062145) == pytest.approx(
+            0.39478300170698105, rel=1e-15, abs=0.0
+        )
+
     @pytest.mark.parametrize(
         "nu", [30.0, 40.0, 999.0, 2503.5, 5e3, 9999.0, 1e4, 1e6, 1e300, 1.7e308]
     )
@@ -202,20 +211,26 @@ class TestTCdf:
         (-38.7, 1e4), (-37.0, 1e4), (-35.0, 1e4), (-37.0, 29416.0),
     ])
     def test_even_nu_closed_form(self, x, nu):
-        # Abramowitz & Stegun 26.7.3 for even nu, with w = nu / (nu + x^2):
-        # T_nu(-|x|) = (1 - sqrt(1 - w) sum_{k < nu/2} (1/2)_k / k! w^k) / 2.
-        # The tails are near 1e-300, so the difference cancels about 300
+        # The tails are near 1e-300, so the closed form cancels about 300
         # digits: evaluate it with 420.
-        with decimal.localcontext() as ctx:
-            ctx.prec = 420
-            xd, nud = decimal.Decimal(x), decimal.Decimal(nu)
-            w = nud / (nud + xd * xd)
-            term = total = decimal.Decimal(1)
-            for k in range(int(nu) // 2 - 1):
-                term *= (k + decimal.Decimal("0.5")) / (k + 1) * w
-                total += term
-            exact = float((1 - (1 - w).sqrt() * total) / 2)
-        assert t_cdf(x, nu) == pytest.approx(exact, rel=1e-13, abs=0.0)
+        assert t_cdf(x, nu) == pytest.approx(even_nu_tail(x, nu, 420), rel=1e-13, abs=0.0)
+
+    def test_even_nu_band_sweep(self):
+        # The BUP and BGRAT band below nu = 30 (0.2 <= z, ln(1 + q) <= 2), to
+        # 1e-14 of the closed form with 60 digits, of which tails >= 1e-12
+        # cancel at most 12.  The continued fraction erred by 3.8e-14 on these
+        # draws (x = -1.505, nu = 28), near the median, where its z-form
+        # multiplies the rounding of ln B(nu/2, 1/2) by (1/2 - T) / T.
+        rng = random.Random(11)
+        worst = 0.0
+        for nu in range(2, 30, 2):
+            ln_1q_min = special._BGRAT_Z_MIN / (0.5 * nu - 0.25)
+            for _ in range(200):
+                x = -math.sqrt(nu * math.expm1(rng.uniform(ln_1q_min, 2.0)))
+                exact = even_nu_tail(x, nu, 60)
+                if exact >= 1e-12:
+                    worst = max(worst, abs(t_cdf(x, nu) - exact) / exact)
+        assert worst <= 1e-14
 
     def test_matches_scipy_sweep(self):
         scipy_stats = pytest.importorskip("scipy.stats")
@@ -256,6 +271,20 @@ class TestTCdf:
         assert abs(t_cdf(x, nu) + t_cdf(-x, nu) - 1.0) < 3e-16
 
 
+def even_nu_tail(x, nu, digits):
+    """T_nu(-|x|) for even nu by Abramowitz & Stegun 26.7.3, with
+    w = nu / (nu + x^2): (1 - sqrt(1 - w) sum_{k < nu/2} (1/2)_k / k! w^k) / 2."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        xd, nud = decimal.Decimal(x), decimal.Decimal(nu)
+        w = nud / (nud + xd * xd)
+        term = total = decimal.Decimal(1)
+        for k in range(int(nu) // 2 - 1):
+            term *= (k + decimal.Decimal("0.5")) / (k + 1) * w
+            total += term
+        return float((1 - (1 - w).sqrt() * total) / 2)
+
+
 def first_float(crossed, lo, hi):
     """The smallest float in (lo, hi] where crossed holds, for 0 < lo < hi,
     crossed(lo) false and crossed(hi) true, and one change between."""
@@ -271,7 +300,8 @@ def first_float(crossed, lo, hi):
 def bgrat(x, nu):
     # The BGRAT series at (x, nu), whichever method t_cdf takes there.
     ln_1q = math.log1p(x * (x / nu))
-    return special._bgrat_half(0.5 * nu, (0.5 * nu - 0.25) * ln_1q, ln_1q)
+    a = 0.5 * nu
+    return special._bgrat_half(a, (a - 0.25) * ln_1q, ln_1q, special._log_beta_half(a))
 
 
 def assert_non_increasing(tails):
@@ -281,11 +311,12 @@ def assert_non_increasing(tails):
 
 
 class TestTCdfSwitches:
-    """t_cdf changes method at nu = 30, where ln(1 + q) reaches 2, and where
-    BGRAT's z = (nu/2 - 1/4) ln(1 + q) reaches _BGRAT_Z_MIN.  At the first
-    input past each switch the method there agrees with BGRAT, and lower
-    tails fall across it as |x| or nu grows.  Past nu = _NU_MAX, t_cdf takes
-    nu = _NU_MAX, and BGRAT's tail underflows to 0 past z = 745."""
+    """t_cdf changes method where ln(1 + q) reaches 2 and where BGRAT's
+    z = (nu/2 - 1/4) ln(1 + q) reaches _BGRAT_Z_MIN, and below nu = 30 it
+    runs BUP before BGRAT.  At the first input past each switch the method
+    there agrees with the one before it, and lower tails fall across it as
+    |x| or nu grows.  Past nu = _NU_MAX, t_cdf takes nu = _NU_MAX, and
+    BGRAT's tail underflows to 0 past z = 745."""
 
     @pytest.fixture
     def method(self, monkeypatch):
@@ -311,18 +342,37 @@ class TestTCdfSwitches:
 
         return run
 
-    @pytest.mark.parametrize("nu, below, above, rel, xs", [
-        # At nu = 30, BGRAT serves 0.64 <= |x| <= 13.8 (0.2 <= z, ln(1 + q) <= 2).
-        (30.0, "_betacf", "_bgrat_half", 1e-13, [-13.0, -10.0, -6.0, -2.0, -1.0]),
-    ])
-    def test_nu_switch(self, method, nu, below, above, rel, xs):
+    @pytest.mark.parametrize("x", [-13.0, -10.0, -6.0, -2.0, -1.0])
+    def test_nu_switch(self, monkeypatch, x):
+        # At nu = 30 BGRAT serves 0.64 <= |x| <= 13.8 (0.2 <= z, ln(1 + q) <= 2)
+        # at a = _BGRAT_A = 15.  One float below, BUP's one step hands it
+        # a + 1, and the fraction runs on neither side.
+        nu = 30.0
         nu_below = math.nextafter(nu, 0.0)
-        for x in xs:
-            assert method(x, nu_below)[0] == below and method(x, nu)[0] == above, x
-            # The side that does not take BGRAT, against BGRAT at its input.
-            at = nu if below == "_bgrat_half" else nu_below
-            assert t_cdf(x, at) == pytest.approx(bgrat(x, at), rel=rel, abs=0.0), x
-            assert_non_increasing([t_cdf(x, nu * (1.0 + k * 1e-9)) for k in range(-3, 4)])
+        shapes = []
+        series = special._bgrat_half
+        monkeypatch.setattr(
+            special, "_bgrat_half", lambda a, *args: shapes.append(a) or series(a, *args)
+        )
+        monkeypatch.setattr(special, "_betacf", lambda *args: pytest.fail("fraction ran"))
+        below = t_cdf(x, nu_below)
+        assert shapes == [0.5 * nu_below + 1.0]
+        assert t_cdf(x, nu) == pytest.approx(below, rel=1e-13, abs=0.0)
+        assert shapes[1:] == [special._BGRAT_A]
+        assert_non_increasing([t_cdf(x, nu * (1.0 + k * 1e-9)) for k in range(-3, 4)])
+
+    @pytest.mark.parametrize("x", [-2.1, -2.0, -1.5, -1.0])
+    def test_band_lower_end(self, method, x):
+        # The band needs (nu/2 - 1/4) ln(1 + q) >= _BGRAT_Z_MIN with ln(1 + q)
+        # <= 2, so it is empty below nu = 0.7.  At a fixed x it starts at the
+        # nu where z reaches _BGRAT_Z_MIN: the fraction below, BUP's 15 steps
+        # and BGRAT from there.
+        crossed = lambda nu: (0.5 * nu - 0.25) * math.log1p(x * (x / nu)) >= special._BGRAT_Z_MIN
+        nu = first_float(crossed, 0.7, 2.0)
+        nu_below = math.nextafter(nu, 0.0)
+        assert method(x, nu_below)[0] == "_betacf" and method(x, nu)[0] == "_bgrat_half"
+        assert t_cdf(x, nu) == pytest.approx(t_cdf(x, nu_below), rel=1e-13, abs=0.0)
+        assert_non_increasing([t_cdf(x, nu * (1.0 + k * 1e-9)) for k in range(-3, 4)])
 
     @pytest.mark.parametrize("x", [-37.0, -20.0, -2.0, -0.7])
     def test_nu_clamp(self, method, x):
@@ -383,6 +433,20 @@ class TestTCdfSwitches:
         assert t_cdf(-x, nu) == pytest.approx(t_cdf(-x_below, nu), rel=1e-13, abs=0.0)
         assert t_cdf(x, nu) == pytest.approx(t_cdf(x_below, nu), rel=1e-13, abs=0.0)
         assert_non_increasing([t_cdf(-x * (1.0 + k * 1e-3), nu) for k in range(-3, 4)])
+
+    @pytest.mark.parametrize("nu", [1.0, 3.0, 19.0, math.nextafter(30.0, 0.0)])
+    def test_edges_below_nu_30(self, method, nu):
+        # BUP and BGRAT below nu = 30 hand over to the fraction at the same
+        # two edges as BGRAT alone: ln(1 + q) = 2 and z = _BGRAT_Z_MIN.
+        past_log = first_float(lambda x: math.log1p(x * (x / nu)) > 2.0, 0.1, 100.0)
+        crossed = lambda x: (0.5 * nu - 0.25) * math.log1p(x * (x / nu)) >= special._BGRAT_Z_MIN
+        at_median = first_float(crossed, 0.01, past_log)
+        for band, fraction in [
+            (math.nextafter(past_log, 0.0), past_log), (at_median, math.nextafter(at_median, 0.0))
+        ]:
+            assert method(-band, nu)[0] == "_bgrat_half" and method(-fraction, nu)[0] == "_betacf"
+            assert t_cdf(-band, nu) == pytest.approx(t_cdf(-fraction, nu), rel=1e-13, abs=0.0)
+            assert_non_increasing([t_cdf(-band * (1.0 + k * 1e-12), nu) for k in range(-3, 4)])
 
     @pytest.mark.parametrize("nu", [30.0, math.nextafter(30.0, math.inf)])
     @pytest.mark.parametrize("ln_1q", [1.0, 1.5, 2.0])
