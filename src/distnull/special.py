@@ -6,22 +6,22 @@ and z = q / (1 + q),
 
     T_nu(-|x|) = I_w(nu/2, 1/2) / 2 = 1/2 - I_z(1/2, nu/2) / 2,
 
-where I is the regularized incomplete beta function.  Two methods split
-the range of x.  Wherever ln(1 + q) <= 2 and u = (nu/2 - 1/4) ln(1 + q)
->= 0.2 (BGRAT's z in the code), I_w(nu/2, 1/2) is taken as DiDonato &
-Morris's (1992, ACM TOMS Algorithm 708) bratio takes it for b <= 1: their
-BGRAT series, an expansion about erfc(sqrt u), from nu = 30 on; below,
-their BUP first lifts a = nu/2 by n whole steps to a + n >= 15,
+where I is the regularized incomplete beta function.  Wherever
+ln(1 + q) <= 2 and u = (nu/2 - 1/4) ln(1 + q) >= 0.2 (BGRAT's z in the
+code), I_w(nu/2, 1/2) is taken as DiDonato & Morris's (1992, ACM TOMS
+Algorithm 708) bratio takes it for b <= 1: their BGRAT series, an
+expansion about erfc(sqrt u), from nu = 30 on; below, their BUP first
+lifts a = nu/2 by n whole steps to a + n >= 15,
 
     I_w(a, 1/2) = I_w(a + n, 1/2) + (n positive terms),
 
-and BGRAT takes I_w(a + n, 1/2).  That band is empty below nu = 0.7.  A
-continued fraction in w or in z, whichever converges fast, takes the
-rest: past ln(1 + q) = 2, where the fraction takes only a few steps; and
-below u = 0.2, near the median, where the fraction's z-form gives
-1/2 - T itself and is the more accurate of the two.  Past nu = 2^74
-(1.9e22) both take nu = 2^74: the tail moves by less than 3e-17 of
-itself, and the fraction's products stay finite.
+and BGRAT takes I_w(a + n, 1/2).  That band is empty below nu = 0.7.  Off
+it, as in bratio, two series of positive terms take the rest, each with
+a ratio below 1/2: where q >= 1, BUP's own terms summed to convergence,
+whose ratio is below w <= 1/2; and where q < 1, near the median, the
+power series of I_z(1/2, nu/2), which gives 1/2 - T itself, so a lower
+tail never passes 1/2.  Past nu = 2^74 (1.9e22) all take nu = 2^74: the
+tail moves by less than 3e-17 of itself.
 
 Quantiles invert the same lower tail by Newton in ln x on ln T, which is
 concave, so the steps need no bracket.  They start from Hill's (1970,
@@ -39,56 +39,6 @@ from .errors import DomainError, SolverFailure
 
 __all__ = ["t_cdf", "t_quantile", "normal_cdf"]
 
-# Continued fraction controls.  _CF_EPS is the relative convergence
-# target; _CF_TINY floors near-zero denominators in the Lentz recurrence.
-_CF_EPS = 1e-16
-_CF_TINY = 1e-300
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    # Continued fraction for the incomplete beta, modified Lentz method.
-    # Converges fast for x < (a + 1) / (a + b + 2); the caller guarantees
-    # that by flipping arguments when needed.
-    max_iter = 300 + int(10.0 * math.sqrt(max(a, b)))
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise SolverFailure(
-        f"incomplete beta continued fraction stalled (a={a}, b={b}, x={x})"
-    )
-
-
 def _check_nu(nu: float) -> float:
     if not (nu > 0.0 and math.isfinite(nu)):
         raise DomainError(f"degrees of freedom must be positive and finite, got {nu}")
@@ -96,15 +46,16 @@ def _check_nu(nu: float) -> float:
 
 
 def _log_beta_half(a: float) -> float:
-    # ln B(a, 1/2): below a = 20 from Gamma(a) / Gamma(a + 1/2), good to a few
+    # ln B(a, 1/2): below a = 24 from Gamma(a) / Gamma(a + 1/2), good to a few
     # ulps, where lgamma(a) - lgamma(a + 1/2) keeps an ulp of numbers near 40
     # (1.6e-14 of B near a = 20); lgamma only where Gamma(a) nears overflow,
-    # its pole at 0 being where nu = 5e-324 puts a.  From a = 20 the Stirling
-    # series for ln Gamma(a) / Gamma(a + 1/2) is good to 3.4e-15, and does not
-    # cancel or overflow.
-    if 1e-300 < a < 20.0:
+    # its pole at 0 being where nu = 5e-324 puts a.  From a = 24 the Stirling
+    # series for ln Gamma(a) / Gamma(a + 1/2) is good to 8.9e-16 (3.4e-15 from
+    # a = 20), and does not cancel or overflow.  Not from a = 30: the ratio is
+    # 1.2e-14 off at a = 31.5 to 32, where a + 1/2 rounds.
+    if 1e-300 < a < 24.0:
         return math.log(math.gamma(a) / math.gamma(a + 0.5) * math.sqrt(math.pi))
-    if a < 20.0:
+    if a < 24.0:
         try:
             return math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
         except ValueError:
@@ -132,13 +83,13 @@ def _bgrat_d() -> tuple[tuple[float, float, float], ...]:
 
 _BGRAT_D = _bgrat_d()
 # BGRAT gives T, so near the median 1/2 - T carries T's error and the lower
-# tail can pass 1/2; below _BGRAT_Z_MIN the fraction's z-form, which gives
-# 1/2 - T itself, is the more accurate for both.
+# tail can pass 1/2; below _BGRAT_Z_MIN the near-median series, which gives
+# 1/2 - T itself, is the more accurate for both, and its ratio stays below
+# 1/2 (see _t_tail).
 _BGRAT_Z_MIN = 0.2
 # nu is clamped to C = 2^74.  For nu > C, T_nu and T_C differ by at most
 # (x^2 + 1)^2 / (4 C) of the tail to first order, 2.9e-17 over |x| <= 38.6,
-# where the tail is a nonzero float; x / C is exact.  Far above C the
-# fraction's products overflow, and its step cap, 10 sqrt(a), reaches 1e154.
+# where the tail is a nonzero float; x / C is exact.
 _NU_MAX = 2.0**74
 # BGRAT's least a: from nu = 30 on it runs alone, below after BUP's shift.
 _BGRAT_A = 15.0
@@ -197,26 +148,39 @@ def _t_tail(x: float, nu: float) -> float:
     # there; below, 1/q can overflow.
     ln_z = -math.log1p(1.0 / q) if q >= 1.0 else ln_q - ln_1q
     front = math.exp(0.5 * ln_z - a * ln_1q - ln_beta)
+    if not band and q < 1.0:
+        # Near the median: 1/2 - T = front sum U_i, U_0 = 1, U_(i+1) = U_i
+        # z (a + i + 1/2) / (i + 3/2), z = q / (1 + q), I_z(1/2, a)'s series.
+        # The ratio stays below 1/2: off the band (a - 1/4) ln(1 + q) < 0.2,
+        # so z (a + 1/2) <= (a + 1/2) ln(1 + q) < 0.2 + 0.75 ln 2 < 0.75 and
+        # the first ratio is below 0.75 / 1.5; the later ones move
+        # monotonically to z < 1/2.  Each term thus bounds the rest.
+        r = q / (1.0 + q)
+        u = s = 1.0
+        h = 0.5  # i + 1/2
+        while u > 1e-17 * s:
+            u *= r * (a + h) / (h + 1.0)
+            s += u
+            h += 1.0
+        return 0.5 - front * s
+    # BUP: I_w(a, 1/2) = I_w(b, 1/2) + sum_{i<n} T_i, T_0 = front / a,
+    # T_(i+1) = T_i w (a + i + 1/2) / (a + i + 1).  Every term is positive.  In
+    # the band b = a + n >= _BGRAT_A and BGRAT takes I_w(b, 1/2), with ln B(b,
+    # 1/2) from T_n = w^b sqrt(1 - w) / (b B(b, 1/2)).  Off it q >= 1, so the
+    # ratio is below w <= 1/2 and the sum runs to convergence: each term then
+    # bounds the rest, and where front underflows the tail is 0 at once.
     w = 1.0 / (1.0 + q)
-    if band:
-        # BUP: I_w(a, 1/2) = I_w(b, 1/2) + sum_{i<n} T_i, b = a + n >= _BGRAT_A,
-        # T_0 = front / a, T_(i+1) = T_i w (a + i + 1/2) / (a + i + 1).  Every
-        # term is positive.  T_n = w^b sqrt(1 - w) / (b B(b, 1/2)) gives BGRAT
-        # its ln B(b, 1/2).
-        t = front / a
-        s = 0.0
-        b = a
-        while b < _BGRAT_A:
-            s += t
-            t *= w * (b + 0.5) / (b + 1.0)
-            b += 1.0
-        ln_beta = 0.5 * ln_z - b * ln_1q - math.log(b * t)
-        return _bgrat_half(b, (b - 0.25) * ln_1q, ln_1q, ln_beta, 0.5 * s)
-    if w < (a + 1.0) / (a + 2.5):
-        # Where front underflows the tail is 0: skip the fraction, which at
-        # huge a can stall one rounding short of converging.
-        return 0.5 * front * _betacf(a, 0.5, w) / a if front else 0.0
-    return 0.5 - front * _betacf(0.5, a, q / (1.0 + q))
+    t = front / a
+    s = 0.0
+    b = a
+    while (b < _BGRAT_A) if band else (t > 1e-17 * s):
+        s += t
+        t *= w * (b + 0.5) / (b + 1.0)
+        b += 1.0
+    if not band:
+        return 0.5 * s
+    ln_beta = 0.5 * ln_z - b * ln_1q - math.log(b * t)
+    return _bgrat_half(b, (b - 0.25) * ln_1q, ln_1q, ln_beta, 0.5 * s)
 
 
 def t_cdf(x: float, nu: float) -> float:

@@ -5,6 +5,7 @@ import math
 import random
 import struct
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -197,9 +198,9 @@ class TestTCdf:
             assert t_cdf(-x, nu) <= 0.5 <= t_cdf(x, nu), x
 
     def test_huge_nu_tails(self):
-        # nu far past any float x^2 / nu, where the continued fraction's
-        # products overflow unless nu is clamped: tails below the smallest
-        # float are 0, and nu = 1.7e308 is the normal limit.
+        # nu far past any float x^2 / nu, where t_cdf takes nu = _NU_MAX:
+        # tails below the smallest float are 0, and nu = 1.7e308 is the
+        # normal limit.
         assert t_cdf(-40.0, 1e300) == 0.0
         assert t_cdf(-1e3, 4.5e307) == 0.0
         assert t_cdf(-37.0, 1.7e308) == pytest.approx(normal_cdf(-37.0), rel=1e-13, abs=0.0)
@@ -232,6 +233,15 @@ class TestTCdf:
                     worst = max(worst, abs(t_cdf(x, nu) - exact) / exact)
         assert worst <= 1e-14
 
+    def test_log_beta_half_at_whole_a(self):
+        # B(n, 1/2) = 4^n (n - 1)! n! / (2n)! exactly, on both sides of the
+        # switch from the Gamma ratio to the Stirling series at a = 24.
+        for n in range(18, 31):
+            exact = Fraction(4**n * math.factorial(n - 1) * math.factorial(n), math.factorial(2 * n))
+            assert math.exp(special._log_beta_half(float(n))) == pytest.approx(
+                float(exact), rel=1e-15, abs=0.0
+            ), n
+
     def test_matches_scipy_sweep(self):
         scipy_stats = pytest.importorskip("scipy.stats")
         worst = 0.0
@@ -257,7 +267,9 @@ class TestTCdf:
     @given(
         x1=st.floats(-60.0, 60.0),
         x2=st.floats(-60.0, 60.0),
-        nu=st.sampled_from([0.7, 1.0, 2.5, 10.0, 100.0, 1e3, 5000.0, 9999.0]),
+        nu=st.sampled_from(
+            [1e-3, 0.1, 0.5, 0.7, 1.0, 2.5, 10.0, 100.0, 1e3, 5000.0, 9999.0, 1e300]
+        ),
     )
     def test_monotone(self, x1, x2, nu):
         lo, hi = min(x1, x2), max(x1, x2)
@@ -265,7 +277,9 @@ class TestTCdf:
 
     @given(
         x=st.floats(-60.0, 60.0),
-        nu=st.sampled_from([0.7, 1.0, 2.5, 10.0, 100.0, 1e3, 5000.0, 9999.0]),
+        nu=st.sampled_from(
+            [1e-3, 0.1, 0.5, 0.7, 1.0, 2.5, 10.0, 100.0, 1e3, 5000.0, 9999.0, 1e300]
+        ),
     )
     def test_reflection(self, x, nu):
         assert abs(t_cdf(x, nu) + t_cdf(-x, nu) - 1.0) < 3e-16
@@ -311,16 +325,17 @@ def assert_non_increasing(tails):
 
 
 class TestTCdfSwitches:
-    """t_cdf changes method where ln(1 + q) reaches 2 and where BGRAT's
-    z = (nu/2 - 1/4) ln(1 + q) reaches _BGRAT_Z_MIN, and below nu = 30 it
-    runs BUP before BGRAT.  At the first input past each switch the method
-    there agrees with the one before it, and lower tails fall across it as
-    |x| or nu grows.  Past nu = _NU_MAX, t_cdf takes nu = _NU_MAX, and
-    BGRAT's tail underflows to 0 past z = 745."""
+    """t_cdf changes method where ln(1 + q) reaches 2, where BGRAT's
+    z = (nu/2 - 1/4) ln(1 + q) reaches _BGRAT_Z_MIN, and off BGRAT's band
+    where q reaches 1, and below nu = 30 it runs BUP before BGRAT.  At the
+    first input past each switch the method there agrees with the one
+    before it, and lower tails fall across it as |x| or nu grows.  Past
+    nu = _NU_MAX, t_cdf takes nu = _NU_MAX, and BGRAT's tail underflows to
+    0 past z = 745."""
 
     @pytest.fixture
     def method(self, monkeypatch):
-        # The method t_cdf takes at (x, nu), and its value.
+        # The method t_cdf takes at (x, nu), BGRAT or a series, and its value.
         calls = []
 
         def counted(name):
@@ -332,13 +347,12 @@ class TestTCdfSwitches:
 
             return call
 
-        for name in ("_betacf", "_bgrat_half"):
-            monkeypatch.setattr(special, name, counted(name))
+        monkeypatch.setattr(special, "_bgrat_half", counted("_bgrat_half"))
 
         def run(x, nu):
             calls.clear()
             value = t_cdf(x, nu)
-            return calls[0], value
+            return (calls[0] if calls else "series"), value
 
         return run
 
@@ -346,7 +360,7 @@ class TestTCdfSwitches:
     def test_nu_switch(self, monkeypatch, x):
         # At nu = 30 BGRAT serves 0.64 <= |x| <= 13.8 (0.2 <= z, ln(1 + q) <= 2)
         # at a = _BGRAT_A = 15.  One float below, BUP's one step hands it
-        # a + 1, and the fraction runs on neither side.
+        # a + 1, and BGRAT runs on both sides.
         nu = 30.0
         nu_below = math.nextafter(nu, 0.0)
         shapes = []
@@ -354,7 +368,6 @@ class TestTCdfSwitches:
         monkeypatch.setattr(
             special, "_bgrat_half", lambda a, *args: shapes.append(a) or series(a, *args)
         )
-        monkeypatch.setattr(special, "_betacf", lambda *args: pytest.fail("fraction ran"))
         below = t_cdf(x, nu_below)
         assert shapes == [0.5 * nu_below + 1.0]
         assert t_cdf(x, nu) == pytest.approx(below, rel=1e-13, abs=0.0)
@@ -365,12 +378,12 @@ class TestTCdfSwitches:
     def test_band_lower_end(self, method, x):
         # The band needs (nu/2 - 1/4) ln(1 + q) >= _BGRAT_Z_MIN with ln(1 + q)
         # <= 2, so it is empty below nu = 0.7.  At a fixed x it starts at the
-        # nu where z reaches _BGRAT_Z_MIN: the fraction below, BUP's 15 steps
+        # nu where z reaches _BGRAT_Z_MIN: a series below, BUP's 15 steps
         # and BGRAT from there.
         crossed = lambda nu: (0.5 * nu - 0.25) * math.log1p(x * (x / nu)) >= special._BGRAT_Z_MIN
         nu = first_float(crossed, 0.7, 2.0)
         nu_below = math.nextafter(nu, 0.0)
-        assert method(x, nu_below)[0] == "_betacf" and method(x, nu)[0] == "_bgrat_half"
+        assert method(x, nu_below)[0] == "series" and method(x, nu)[0] == "_bgrat_half"
         assert t_cdf(x, nu) == pytest.approx(t_cdf(x, nu_below), rel=1e-13, abs=0.0)
         assert_non_increasing([t_cdf(x, nu * (1.0 + k * 1e-9)) for k in range(-3, 4)])
 
@@ -390,12 +403,10 @@ class TestTCdfSwitches:
             assert below == pytest.approx(t_cdf(x, nu), rel=2e-13, abs=0.0), k
 
     @pytest.mark.parametrize("x, nu", [(-1e12, 1e300), (-3.2e10, 1e18)])
-    def test_underflowed_front(self, monkeypatch, x, nu):
-        # Past ln(1 + q) = 2 at huge nu the fraction's front underflows, and
-        # the tail is 0 without the fraction, which can stall there one
-        # rounding short of converging (16 s at x = -1e12, nu = 1e300).
-        monkeypatch.setattr(special, "_betacf", lambda *args: pytest.fail("fraction ran"))
-        assert t_cdf(x, nu) == 0.0
+    def test_underflowed_front(self, method, x, nu):
+        # Past ln(1 + q) = 2 at huge nu the far series' front underflows, and
+        # its first term ends it with the tail 0.
+        assert method(x, nu) == ("series", 0.0)
 
     @pytest.mark.parametrize("nu", [1e3, 5e3, 9999.0, 1e4, 1e6])
     def test_deep_tail_underflow(self, method, nu):
@@ -413,22 +424,22 @@ class TestTCdfSwitches:
 
     @pytest.mark.parametrize("nu", [30.0, 100.0, 700.0])
     def test_log_switch(self, method, nu):
-        # Past ln(1 + q) = 2 (x = 13.8 at nu = 30, 67.1 at nu = 700) the
-        # continued fraction takes over in a few steps.
+        # Past ln(1 + q) = 2 (x = 13.8 at nu = 30, 67.1 at nu = 700) the far
+        # series takes over, its ratio below w = 1 / (1 + q) < 0.14.
         x = first_float(lambda x: math.log1p(x * (x / nu)) > 2.0, 1.0, 100.0)
         assert method(-math.nextafter(x, 0.0), nu)[0] == "_bgrat_half"
-        assert method(-x, nu)[0] == "_betacf"
+        assert method(-x, nu)[0] == "series"
         assert t_cdf(-x, nu) == pytest.approx(bgrat(-x, nu), rel=1e-13, abs=0.0)
         assert_non_increasing([t_cdf(-x * (1.0 + k * 1e-12), nu) for k in range(-3, 4)])
 
     @pytest.mark.parametrize("nu", [30.0, 1e3, 5e3, 9999.0])
     def test_median_switch(self, method, nu):
-        # Below z = _BGRAT_Z_MIN (|x| below about 0.64) the fraction's z-form
+        # Below z = _BGRAT_Z_MIN (|x| below about 0.64) the near-median series
         # takes over, and forms 1/2 - T itself.
         crossed = lambda x: (0.5 * nu - 0.25) * math.log1p(x * (x / nu)) >= special._BGRAT_Z_MIN
         x = first_float(crossed, 0.1, 1.0)
         x_below = math.nextafter(x, 0.0)
-        assert method(-x_below, nu)[0] == "_betacf" and method(-x, nu)[0] == "_bgrat_half"
+        assert method(-x_below, nu)[0] == "series" and method(-x, nu)[0] == "_bgrat_half"
         assert t_cdf(-x_below, nu) == pytest.approx(bgrat(-x_below, nu), rel=1e-13, abs=0.0)
         assert t_cdf(-x, nu) == pytest.approx(t_cdf(-x_below, nu), rel=1e-13, abs=0.0)
         assert t_cdf(x, nu) == pytest.approx(t_cdf(x_below, nu), rel=1e-13, abs=0.0)
@@ -436,17 +447,29 @@ class TestTCdfSwitches:
 
     @pytest.mark.parametrize("nu", [1.0, 3.0, 19.0, math.nextafter(30.0, 0.0)])
     def test_edges_below_nu_30(self, method, nu):
-        # BUP and BGRAT below nu = 30 hand over to the fraction at the same
+        # BUP and BGRAT below nu = 30 hand over to the series at the same
         # two edges as BGRAT alone: ln(1 + q) = 2 and z = _BGRAT_Z_MIN.
         past_log = first_float(lambda x: math.log1p(x * (x / nu)) > 2.0, 0.1, 100.0)
         crossed = lambda x: (0.5 * nu - 0.25) * math.log1p(x * (x / nu)) >= special._BGRAT_Z_MIN
         at_median = first_float(crossed, 0.01, past_log)
-        for band, fraction in [
+        for band, off in [
             (math.nextafter(past_log, 0.0), past_log), (at_median, math.nextafter(at_median, 0.0))
         ]:
-            assert method(-band, nu)[0] == "_bgrat_half" and method(-fraction, nu)[0] == "_betacf"
-            assert t_cdf(-band, nu) == pytest.approx(t_cdf(-fraction, nu), rel=1e-13, abs=0.0)
+            assert method(-band, nu)[0] == "_bgrat_half" and method(-off, nu)[0] == "series"
+            assert t_cdf(-band, nu) == pytest.approx(t_cdf(-off, nu), rel=1e-13, abs=0.0)
             assert_non_increasing([t_cdf(-band * (1.0 + k * 1e-12), nu) for k in range(-3, 4)])
+
+    @pytest.mark.parametrize("nu", [1e-3, 0.1, 0.5, 1.0])
+    def test_q_seam(self, method, nu):
+        # Below nu = 1.08 the band does not reach q = 1, where the near-median
+        # series hands over to the far one.
+        x = first_float(lambda x: x * (x / nu) >= 1.0, 0.5 * math.sqrt(nu), 2.0 * math.sqrt(nu))
+        below = math.nextafter(x, 0.0)
+        assert method(-below, nu)[0] == method(-x, nu)[0] == "series"
+        assert t_cdf(-x, nu) == pytest.approx(t_cdf(-below, nu), rel=1e-13, abs=0.0)
+        assert_non_increasing(
+            [t_cdf(-v, nu) for v in [x * (1.0 - 1e-12), below, x, x * (1.0 + 1e-12)]]
+        )
 
     @pytest.mark.parametrize("nu", [30.0, math.nextafter(30.0, math.inf)])
     @pytest.mark.parametrize("ln_1q", [1.0, 1.5, 2.0])
